@@ -90,7 +90,7 @@ fn main() {
     println!("  fused    {fused_us:>10.1} us   (8 fused-epilogue tape dispatches)");
     println!("  unfused  {unfused_us:>10.1} us   (plain GEMMs + per-op epilogue passes)");
     println!("  speedup  {speedup:>10.3}x");
-    println!("{}", engine.metrics().render());
+    println!("{}", engine.metrics().render_prometheus());
 
     if smoke {
         assert!(

@@ -2,5 +2,5 @@
 
 fn main() {
     let figure = unit_bench::figures::fig09();
-    println!("{}", figure.render());
+    println!("{}", figure.to_table());
 }

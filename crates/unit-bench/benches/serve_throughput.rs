@@ -1,18 +1,14 @@
 //! Serving-runtime throughput: cold vs warm whole-model compilation and
 //! scheduler requests/sec.
 //!
-//! Run via `cargo bench -p unit-bench --bench serve_throughput`. Five
+//! Run via `cargo bench -p unit-bench --bench serve_throughput`. Four
 //! tracked numbers:
 //!
 //! * **cold compile**: transformer-tiny + mobilenet-v1 on every
 //!   registered target into an empty engine (full tuner searches),
-//! * **warm compile**: the same set into a fresh engine restored from
-//!   the artifact store the cold run persisted — replayed tuning
-//!   decisions, *zero tuner searches* (asserted),
 //! * **journal-warm compile**: the same set into a replica that
-//!   attached the fleet-shared artifact journal the cold engine
-//!   appended to — the multi-replica warm-start path, also asserted
-//!   search-free,
+//!   attached the artifact journal the cold engine appended to —
+//!   replayed tuning decisions, *zero tuner searches* (asserted),
 //! * **cold first response**: the first-request latency for a novel
 //!   workload on a *tiered* engine (cheap cold-tier search, re-tune
 //!   deferred to the background) vs a non-tiered engine paying the full
@@ -24,7 +20,8 @@
 //!
 //! `SERVE_THROUGHPUT_SMOKE=1` switches to a single-repetition smoke run
 //! that still asserts the warm-start contract and additionally writes
-//! `BENCH_serve.json` (requests/sec, cold vs warm compile millis) into
+//! `BENCH_serve.json` (requests/sec, cold vs journal-warm compile
+//! millis) into
 //! the working directory — the start of the serving bench trajectory
 //! tracked by CI.
 
@@ -36,9 +33,7 @@ use unit_core::tuner::{tuner_searches, CpuTuneMode, GpuTuneMode};
 use unit_graph::models::{mobilenet_v1, transformer_tiny};
 use unit_graph::{Graph, OpSpec};
 use unit_isa::registry;
-use unit_serve::{
-    ArtifactStore, Journal, JournalConfig, Scheduler, SchedulerConfig, ServeEngine, ServeRequest,
-};
+use unit_serve::{Journal, JournalConfig, Scheduler, SchedulerConfig, ServeEngine, ServeRequest};
 
 fn tuning() -> TuningConfig {
     TuningConfig {
@@ -47,7 +42,7 @@ fn tuning() -> TuningConfig {
     }
 }
 
-/// The request mix (small: the interpreter executes every request).
+/// The request mix (small: the tape executes every request).
 fn menu() -> Vec<(&'static str, OpSpec)> {
     vec![
         ("mobilenet-v1", OpSpec::depthwise(8, 8, 3, 1, 1)),
@@ -71,12 +66,11 @@ fn main() {
     let smoke = std::env::var("SERVE_THROUGHPUT_SMOKE").is_ok();
     let models = [transformer_tiny(), mobilenet_v1()];
     let targets: Vec<String> = registry::targets().into_iter().map(|d| d.id).collect();
-    let store_path = std::env::temp_dir().join("unit-serve-bench.store");
     let journal_dir = std::env::temp_dir().join(format!("unit-serve-bench-{}", std::process::id()));
     std::fs::create_dir_all(&journal_dir).expect("journal dir");
     let journal_path = journal_dir.join("journal");
 
-    // --- Cold compile (and persist — both store and journal). ---
+    // --- Cold compile, persisted through the journal. ---
     let cold = ServeEngine::new(tuning());
     cold.attach_journal(Arc::new(
         Journal::open(JournalConfig::at(&journal_path)).expect("open journal"),
@@ -88,19 +82,6 @@ fn main() {
             cold.execute(model, target, op, 0).expect("cold execute");
         }
     }
-    cold.export_artifacts().save(&store_path).expect("save");
-
-    // --- Warm compile from the persisted store. ---
-    let warm = ServeEngine::new(tuning());
-    warm.import_artifacts(ArtifactStore::load(&store_path).expect("load"));
-    std::fs::remove_file(&store_path).ok();
-    let searches_before = tuner_searches();
-    let warm_elapsed = compile_all(&warm, &models, &targets);
-    assert_eq!(
-        tuner_searches(),
-        searches_before,
-        "warm compile must perform zero tuner searches"
-    );
 
     // --- Journal warm start: a fresh replica attaching the journal the
     // cold engine appended to, as a second replica in a fleet would. ---
@@ -118,13 +99,12 @@ fn main() {
         searches_before,
         "journal-warm compile must perform zero tuner searches"
     );
-    std::fs::remove_dir_all(&journal_dir).ok();
 
     // --- Cold first response: how long the *first* request for a novel
     // workload waits, tiered (cheap cold-tier search now, full search in
     // the background) vs non-tiered (full search up front). The probe
-    // op is small so the search — not the interpreter's execution of
-    // the request — dominates the first response; best of five fresh
+    // op is small so the search — not the tape's execution of the
+    // request — dominates the first response; best of five fresh
     // engines each, so one scheduling hiccup cannot flip the
     // comparison. ---
     use unit_serve::TuneTier;
@@ -178,7 +158,7 @@ fn main() {
     let requests: usize = if smoke { 128 } else { 512 };
     let clients = 8;
     let per_client = requests / clients;
-    let engine = Arc::new(warm);
+    let engine = Arc::new(journal_warm);
     let scheduler = Arc::new(Scheduler::start(
         Arc::clone(&engine),
         SchedulerConfig {
@@ -215,6 +195,7 @@ fn main() {
     });
     let serve_elapsed = t0.elapsed();
     let rps = engine.metrics().throughput_rps(serve_elapsed);
+    std::fs::remove_dir_all(&journal_dir).ok();
 
     println!(
         "serve_throughput: {} targets, {} requests",
@@ -222,13 +203,8 @@ fn main() {
         requests
     );
     println!(
-        "  cold compile {:>8.1} ms   warm compile {:>8.2} ms   ({:.0}x)",
+        "  cold compile {:>8.1} ms   journal-warm compile {:>8.2} ms   ({:.0}x)",
         cold_elapsed.as_secs_f64() * 1e3,
-        warm_elapsed.as_secs_f64() * 1e3,
-        cold_elapsed.as_secs_f64() / warm_elapsed.as_secs_f64().max(1e-9)
-    );
-    println!(
-        "  journal-warm compile {:>8.2} ms   ({:.0}x vs cold)",
         journal_warm_elapsed.as_secs_f64() * 1e3,
         cold_elapsed.as_secs_f64() / journal_warm_elapsed.as_secs_f64().max(1e-9)
     );
@@ -243,13 +219,13 @@ fn main() {
         serve_elapsed.as_secs_f64(),
         rps
     );
-    println!("{}", engine.metrics().render());
+    println!("{}", engine.metrics().render_prometheus());
 
     assert_eq!(engine.metrics().completed(), requests as u64);
     assert_eq!(engine.metrics().failed(), 0);
     assert_eq!(engine.metrics().tuner_searches(), 0);
     assert!(
-        warm_elapsed < cold_elapsed,
+        journal_warm_elapsed < cold_elapsed,
         "replaying artifacts must be faster than searching"
     );
 
@@ -257,10 +233,9 @@ fn main() {
         // Hand-rolled JSON (the vendored serde is a stub): the tracked
         // serving-bench artifact CI archives as BENCH_serve.json.
         let json = format!(
-            "{{\n  \"bench\": \"serve_throughput\",\n  \"targets\": {},\n  \"requests\": {requests},\n  \"requests_per_sec\": {rps:.1},\n  \"cold_compile_ms\": {:.2},\n  \"warm_compile_ms\": {:.3},\n  \"journal_warm_compile_ms\": {:.3},\n  \"cold_first_response_tiered_ms\": {:.3},\n  \"cold_first_response_full_ms\": {:.3},\n  \"warm_tuner_searches\": 0,\n  \"batch_size_mean\": {:.2}\n}}\n",
+            "{{\n  \"bench\": \"serve_throughput\",\n  \"targets\": {},\n  \"requests\": {requests},\n  \"requests_per_sec\": {rps:.1},\n  \"cold_compile_ms\": {:.2},\n  \"journal_warm_compile_ms\": {:.3},\n  \"cold_first_response_tiered_ms\": {:.3},\n  \"cold_first_response_full_ms\": {:.3},\n  \"warm_tuner_searches\": 0,\n  \"batch_size_mean\": {:.2}\n}}\n",
             targets.len(),
             cold_elapsed.as_secs_f64() * 1e3,
-            warm_elapsed.as_secs_f64() * 1e3,
             journal_warm_elapsed.as_secs_f64() * 1e3,
             tiered_first.as_secs_f64() * 1e3,
             full_first.as_secs_f64() * 1e3,
@@ -272,13 +247,19 @@ fn main() {
 }
 
 fn mean_batch(engine: &ServeEngine) -> f64 {
-    // Parse the stable rendering rather than growing the metrics API a
-    // bench-only accessor.
-    engine
-        .metrics()
-        .render()
-        .lines()
-        .find_map(|l| l.strip_prefix("batch_size_mean "))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0.0)
+    // Read the two counters off the Prometheus exposition rather than
+    // growing the metrics API a bench-only accessor.
+    let text = engine.metrics().render_prometheus();
+    let counter = |name: &str| -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(&format!("unit_serve_{name} ")))
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(0.0)
+    };
+    let batches = counter("batches_executed");
+    if batches == 0.0 {
+        0.0
+    } else {
+        counter("batched_requests") / batches
+    }
 }

@@ -1,39 +1,43 @@
 //! Tape-executor throughput: the compiled instruction tape vs. the
-//! statement-tree interpreter on the serving request path, plus the
+//! statement-tree interpreter on the serving kernels, plus the
 //! batch-fusion dispatch contract.
 //!
-//! Run via `cargo bench -p unit-bench --bench tape_throughput`. Two
-//! engines serve the identical request mix — transformer-tiny GEMMs and
-//! resnet-style convolutions — one in `ExecMode::Tape` (the default),
-//! one pinned to `ExecMode::Interp` (the oracle). Both are fully warmed
-//! first so the timed loops measure pure request execution, not tuner
-//! searches or tape compilation. The run asserts:
+//! Run via `cargo bench -p unit-bench --bench tape_throughput`. The
+//! request mix — transformer-tiny GEMMs and resnet-style convolutions —
+//! is compiled once through the serving compile path
+//! (`UnitProvider::compile_workload_full`); each kernel is then run by
+//! both executors over identical buffers: [`Tape::run`] (what the serve
+//! engine dispatches) and `unit_interp::run` (the statement-tree
+//! interpreter, a test oracle). Compilation stays out of the timed
+//! loops. The run asserts:
 //!
-//! * **throughput**: the tape path serves the mix at least as fast as
-//!   the interpreter (best-of-3 timed passes per mode),
+//! * **throughput**: the tape runs the mix at least as fast as the
+//!   interpreter (best-of-3 timed passes per executor),
 //! * **fusion**: a batch of same-shape batched-GEMM requests through
 //!   [`ServeEngine::execute_gemm_batch`] costs exactly *one* tape
 //!   dispatch — fewer dispatches than requests,
-//! * **oracle agreement**: both modes produce bit-identical outputs,
+//! * **oracle agreement**: both executors — and the serve engine —
+//!   produce bit-identical outputs,
 //! * **tracing-off overhead**: the tape hot loop paying the serve
 //!   engine's per-dispatch disabled-tracing check (one relaxed atomic
 //!   load through [`TraceCollector::begin`] returning `None`) stays
 //!   within 3% of the raw loop.
 //!
 //! `TAPE_THROUGHPUT_SMOKE=1` switches to a single short repetition count
-//! and additionally writes `BENCH_tape.json` (requests/sec per mode,
-//! speedup, fusion counters) into the working directory — the tracked
-//! CI artifact.
+//! and additionally writes `BENCH_tape.json` (kernel runs/sec per
+//! executor, speedup, fusion counters) into the working directory — the
+//! tracked CI artifact.
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use unit_core::pipeline::{Target, Tensorizer, TuningConfig};
 use unit_core::tuner::{CpuTuneMode, GpuTuneMode};
-use unit_graph::OpSpec;
-use unit_interp::{alloc_buffers, random_fill, Tape, TapeScratch};
+use unit_graph::compile::UnitProvider;
+use unit_graph::{CacheWorkload, CompiledOp, OpSpec};
+use unit_interp::{alloc_buffers, random_fill, run, Tape, TapeScratch};
 use unit_isa::{registry, TypedBuf};
-use unit_serve::{ExecMode, ServeEngine, TraceCollector};
+use unit_serve::{ServeEngine, TraceCollector};
 
 const TARGET: &str = "x86-avx512-vnni";
 
@@ -57,15 +61,58 @@ fn menu() -> Vec<(&'static str, OpSpec)> {
     ]
 }
 
-/// One timed pass: every menu item `reps` times with rotating seeds.
-fn timed_pass(engine: &ServeEngine, reps: usize) -> Duration {
-    let menu = menu();
+/// One menu kernel, ready to run: its lowered function, its tape, and
+/// pristine seeded input buffers every run starts from.
+struct Kernel {
+    compiled: CompiledOp,
+    tape: Tape,
+    pristine: Vec<TypedBuf>,
+}
+
+impl Kernel {
+    fn compile(op: OpSpec) -> Kernel {
+        let provider = UnitProvider::new(Target::by_id(TARGET).expect("target"), tuning());
+        let compiled = provider.compile_workload_full(&CacheWorkload::Op(op));
+        let tape = Tape::compile(&compiled.func).expect("tape compiles");
+        let mut pristine = alloc_buffers(&compiled.func);
+        random_fill(&mut pristine, 42);
+        Kernel {
+            compiled,
+            tape,
+            pristine,
+        }
+    }
+}
+
+/// Which executor a timed pass drives.
+#[derive(Clone, Copy)]
+enum Executor {
+    Tape,
+    Interp,
+}
+
+/// Run `kernel` once on fresh copies of its pristine buffers.
+fn run_once(kernel: &Kernel, executor: Executor, bufs: &mut [TypedBuf], scratch: &mut TapeScratch) {
+    for (b, p) in bufs.iter_mut().zip(&kernel.pristine) {
+        b.clone_from(p);
+    }
+    match executor {
+        Executor::Tape => kernel.tape.run(black_box(bufs), scratch),
+        Executor::Interp => run(&kernel.compiled.func, black_box(bufs)),
+    }
+    .expect("kernel executes");
+}
+
+/// One timed pass: every menu kernel `reps` times on one executor.
+fn timed_pass(kernels: &[Kernel], executor: Executor, reps: usize) -> Duration {
+    let mut work: Vec<(Vec<TypedBuf>, TapeScratch)> = kernels
+        .iter()
+        .map(|k| (k.pristine.clone(), k.tape.scratch()))
+        .collect();
     let t0 = Instant::now();
-    for r in 0..reps {
-        for (model, op) in &menu {
-            engine
-                .execute(model, TARGET, *op, (r % 7) as u64)
-                .expect("request executes");
+    for _ in 0..reps {
+        for (kernel, (bufs, scratch)) in kernels.iter().zip(&mut work) {
+            run_once(kernel, executor, bufs, scratch);
         }
     }
     t0.elapsed()
@@ -141,25 +188,33 @@ fn main() {
     let reps: usize = if smoke { 30 } else { 200 };
 
     let tape_engine = ServeEngine::new(tuning());
-    assert_eq!(tape_engine.exec_mode(), ExecMode::Tape, "tape is default");
-    let interp_engine = ServeEngine::new(tuning()).with_exec_mode(ExecMode::Interp);
+    let kernels: Vec<Kernel> = menu()
+        .into_iter()
+        .map(|(_, op)| Kernel::compile(op))
+        .collect();
 
-    // Warm both engines (tuner searches + tape compiles happen here)
-    // and pin the oracle agreement: identical outputs per request.
-    for (model, op) in menu() {
-        let a = tape_engine.execute(model, TARGET, op, 42).expect("tape");
-        let b = interp_engine
-            .execute(model, TARGET, op, 42)
-            .expect("interp");
-        assert_eq!(a.output, b.output, "{model}: tape diverged from oracle");
+    // Pin the oracle agreement before timing: tape, interpreter and the
+    // serve engine produce identical outputs per kernel.
+    for ((model, op), kernel) in menu().into_iter().zip(&kernels) {
+        let [tape_out, interp_out] = [Executor::Tape, Executor::Interp].map(|executor| {
+            let mut bufs = kernel.pristine.clone();
+            run_once(kernel, executor, &mut bufs, &mut kernel.tape.scratch());
+            bufs.swap_remove(kernel.compiled.output)
+        });
+        assert_eq!(tape_out, interp_out, "{model}: tape diverged from oracle");
+        let served = tape_engine.execute(model, TARGET, op, 42).expect("serves");
+        assert_eq!(
+            served.output, tape_out,
+            "{model}: serve engine diverged from its kernel's tape"
+        );
     }
 
-    // Best-of-3 interleaved passes per mode.
+    // Best-of-3 interleaved passes per executor.
     let mut tape_best = Duration::MAX;
     let mut interp_best = Duration::MAX;
     for _ in 0..3 {
-        tape_best = tape_best.min(timed_pass(&tape_engine, reps));
-        interp_best = interp_best.min(timed_pass(&interp_engine, reps));
+        tape_best = tape_best.min(timed_pass(&kernels, Executor::Tape, reps));
+        interp_best = interp_best.min(timed_pass(&kernels, Executor::Interp, reps));
     }
     let requests = (reps * menu().len()) as f64;
     let tape_rps = requests / tape_best.as_secs_f64();
@@ -191,7 +246,10 @@ fn main() {
     let tape_runs = if smoke { 2_000 } else { 10_000 };
     let (base_rps, off_rps, overhead_pct) = tracing_off_overhead(tape_runs);
 
-    println!("tape_throughput: {} requests per mode", requests as usize);
+    println!(
+        "tape_throughput: {} kernel runs per executor",
+        requests as usize
+    );
     println!(
         "  tape   {:>8.2} ms   {:>9.0} req/s",
         tape_best.as_secs_f64() * 1e3,
@@ -207,7 +265,7 @@ fn main() {
         "  tracing-off overhead: {overhead_pct:.2}% \
          (raw {base_rps:.0} runs/s, with disabled check {off_rps:.0} runs/s)"
     );
-    println!("{}", tape_engine.metrics().render());
+    println!("{}", tape_engine.metrics().render_prometheus());
 
     assert!(
         overhead_pct <= 3.0,
@@ -220,7 +278,6 @@ fn main() {
         tape_best.as_secs_f64() * 1e3,
         interp_best.as_secs_f64() * 1e3
     );
-    assert_eq!(interp_engine.metrics().tape_dispatches(), 0, "oracle mode");
 
     if smoke {
         // Hand-rolled JSON (the vendored serde is a stub): the tracked

@@ -64,7 +64,7 @@ impl FigureResult {
 
     /// Render as an aligned text table with a geomean footer.
     #[must_use]
-    pub fn render(&self) -> String {
+    pub fn to_table(&self) -> String {
         let mut header = vec!["workload".to_string()];
         header.extend(self.series.clone());
         let mut rows: Vec<Vec<String>> = self
@@ -366,7 +366,7 @@ mod tests {
             assert_eq!(r.values.len(), 4);
             assert!(r.values.iter().all(|v| *v > 0.0));
         }
-        let text = f.render();
+        let text = f.to_table();
         assert!(text.contains("geomean"));
         assert!(text.contains("paper"));
     }

@@ -97,9 +97,9 @@ impl Default for TuningConfig {
 
 impl TuningConfig {
     /// Stable text encoding, e.g. `cpu=tuned:16;gpu=tuned`. This is the
-    /// encoding the `unit-serve` artifact-store file format persists, so
-    /// it must round-trip exactly ([`TuningConfig::decode`]) and may only
-    /// change together with the store's format version.
+    /// encoding the `unit-serve` artifact journal persists, so it must
+    /// round-trip exactly ([`TuningConfig::decode`]) and may only change
+    /// together with the journal's format version.
     #[must_use]
     pub fn encode(&self) -> String {
         format!("cpu={};gpu={}", self.cpu.encode(), self.gpu.encode())

@@ -61,11 +61,11 @@ pub enum CacheWorkload {
 }
 
 impl CacheWorkload {
-    /// Stable text encoding for the artifact-store file format: defers to
+    /// Stable text encoding for the artifact journal: defers to
     /// [`OpSpec::encode`] for tensor workloads, `dense:<in>:<units>` for
     /// dense layers, `fused:<epilogue>:<op>` for epilogue-fused kernels
     /// (the epilogue encoding is dot-separated, keeping the whole field
-    /// colon-parseable). Change only with the store's format version.
+    /// colon-parseable). Change only with the journal's format version.
     #[must_use]
     pub fn encode(&self) -> String {
         match self {

@@ -403,10 +403,10 @@ impl OpSpec {
         }
     }
 
-    /// Stable text encoding used by the `unit-serve` artifact-store file
-    /// format: every field of the workload identity, colon-separated.
+    /// Stable text encoding used by the `unit-serve` artifact journal:
+    /// every field of the workload identity, colon-separated.
     /// Round-trips exactly through [`OpSpec::decode`]; change only
-    /// together with the store's format version.
+    /// together with the journal's format version.
     #[must_use]
     pub fn encode(&self) -> String {
         match self {

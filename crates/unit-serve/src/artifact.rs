@@ -1,4 +1,4 @@
-//! The persistent compiled-artifact store.
+//! The compiled-artifact store and its entry encoding.
 //!
 //! An [`ArtifactStore`] maps `(model id, target id)` to the list of
 //! compiled-kernel decisions that model needs on that target: for every
@@ -10,21 +10,19 @@
 //! *zero* tuner searches — the contract `tests/warm_start_zero_search.rs`
 //! asserts through `unit_core::tuner::stats`.
 //!
-//! # File format (version 1)
+//! The store is in-memory only. Its one on-disk form is the
+//! [`crate::journal`]: every entry persists as a checksummed `put`
+//! record whose payload is this module's entry encoding.
 //!
-//! The vendored `serde` is a no-op stub, so the format is a hand-rolled,
-//! versioned, line-oriented text format, written and parsed by hand:
+//! # Entry encoding
+//!
+//! The vendored `serde` is a no-op stub, so the encoding is hand-rolled
+//! text, one entry per line:
 //!
 //! ```text
-//! unit-artifact-store v1
-//! model <model-id>|<target-id>|<entry-count>
-//! kernel <workload>|<tuning>|<replay>|<f64-bits-hex16>|[tier=<tier>|]<note>
-//! ...
-//! end <fnv1a-64-hex16>
+//! <workload>|<tuning>|<replay>|<f64-bits-hex16>|[tier=<tier>|]<note>
 //! ```
 //!
-//! * One `model` header per `(model, target)` pair, each followed by
-//!   exactly `<entry-count>` `kernel` lines.
 //! * `<workload>` is [`CacheWorkload::encode`], `<tuning>`/`<replay>` are
 //!   [`TuningConfig::encode`] — the sub-encodings owned by `unit-graph`
 //!   and `unit-core` respectively.
@@ -33,35 +31,14 @@
 //!   would silently perturb warm-start latency reports.
 //! * The optional `tier=<tier>|` marker ([`TuneTier::encode`]) says
 //!   which tuning tier compiled the entry. Full-tier entries — the
-//!   terminal state — omit it, so stores without cold entries are
-//!   byte-identical to the pre-tier format and **absent means full
-//!   tier** when decoding old files. A field starting with `tier=` that
-//!   is not a valid marker is rejected (provider notes never start with
-//!   `tier=`).
+//!   terminal state — omit it, so **absent means full tier**. A field
+//!   starting with `tier=` that is not a valid marker is rejected
+//!   (provider notes never start with `tier=`).
 //! * The note is the last field and may contain anything but newlines
 //!   (including `|`).
-//! * `end` carries an FNV-1a 64 checksum over every body line; a
-//!   missing trailer means truncation, a wrong checksum means
-//!   corruption — both are rejected with typed [`ArtifactError`]s, as is
-//!   any unknown version line.
 //!
 //! Model and target ids must not contain `|` or newlines ([`ArtifactStore::record`]
-//! panics on such ids rather than writing an unparseable file).
-//!
-//! # Crash recovery
-//!
-//! [`ArtifactStore::decode`] is all-or-nothing by design, but a crash
-//! mid-[`save`](ArtifactStore::save) leaves exactly one damage shape: a
-//! *torn tail* — a partially written final line and/or a missing `end`
-//! trailer, with every earlier line intact. Rejecting such a file throws
-//! away every valid entry for want of the last one. The
-//! [`decode_recovering`](ArtifactStore::decode_recovering) /
-//! [`load_recovering`](ArtifactStore::load_recovering) entry points
-//! accept that one shape: they truncate to the last fully valid entry
-//! and report what was dropped via [`TailRecovery`]. Everything else —
-//! version mismatches, a full trailer whose checksum disagrees, any
-//! damaged line *followed by more content* — is still hard-rejected,
-//! because mid-file damage is corruption, not a crash signature.
+//! panics on such ids rather than persisting an unparseable record).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -72,59 +49,45 @@ use unit_core::tuner::TuneTier;
 use unit_graph::compile::KernelCache;
 use unit_graph::{CacheWorkload, KernelCacheKey};
 
-/// The version tag this build writes and accepts.
-pub const ARTIFACT_FORMAT_VERSION: &str = "unit-artifact-store v1";
+use crate::journal::JOURNAL_FORMAT_VERSION;
 
-/// Typed artifact-store errors; every malformed file is rejected with
-/// one of these (never a panic).
+/// Typed artifact-persistence errors; every malformed journal is
+/// rejected with one of these (never a panic).
 #[derive(Debug)]
 pub enum ArtifactError {
     /// Filesystem failure while loading/saving.
     Io(std::io::Error),
-    /// The version line names a format this build does not understand.
+    /// The header line names a format this build does not understand.
     UnsupportedVersion {
-        /// The version line found in the file.
+        /// The header line found in the file.
         found: String,
     },
-    /// The file ends before the declared content (or the `end` trailer).
+    /// The file ends before its header line is complete.
     Truncated {
         /// What was missing.
         reason: String,
     },
-    /// A line failed to parse.
+    /// A complete line failed to parse or its checksum disagrees.
     Corrupt {
         /// 1-based line number.
         line: usize,
         /// What was wrong.
         reason: String,
     },
-    /// The body does not match the `end` trailer's checksum.
-    ChecksumMismatch {
-        /// Checksum recorded in the trailer.
-        expected: String,
-        /// Checksum of the body as loaded.
-        found: String,
-    },
 }
 
 impl fmt::Display for ArtifactError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ArtifactError::Io(e) => write!(f, "artifact store I/O: {e}"),
+            ArtifactError::Io(e) => write!(f, "artifact journal I/O: {e}"),
             ArtifactError::UnsupportedVersion { found } => {
-                write!(f, "unsupported artifact store version line `{found}` (expected `{ARTIFACT_FORMAT_VERSION}`)")
+                write!(f, "unsupported artifact journal header `{found}` (expected `{JOURNAL_FORMAT_VERSION} gen <n>`)")
             }
             ArtifactError::Truncated { reason } => {
-                write!(f, "truncated artifact store: {reason}")
+                write!(f, "truncated artifact journal: {reason}")
             }
             ArtifactError::Corrupt { line, reason } => {
-                write!(f, "corrupt artifact store at line {line}: {reason}")
-            }
-            ArtifactError::ChecksumMismatch { expected, found } => {
-                write!(
-                    f,
-                    "artifact store checksum mismatch: trailer {expected}, body {found}"
-                )
+                write!(f, "corrupt artifact journal at line {line}: {reason}")
             }
         }
     }
@@ -165,9 +128,9 @@ pub struct ArtifactEntry {
     pub note: String,
 }
 
-/// The persistent compiled-artifact store. In memory it is a sorted
-/// two-level map `model id -> target id -> entries`: sorted so the file
-/// rendering is canonical (same contents, same bytes), two-level so
+/// The compiled-artifact store: a sorted two-level map
+/// `model id -> target id -> entries`, sorted so journal compaction
+/// writes it in canonical order (same contents, same bytes), two-level so
 /// [`ArtifactStore::lookup`] — which the serving engine calls on the
 /// request hot path under its artifacts mutex — allocates nothing.
 #[derive(Debug, Clone, Default)]
@@ -188,7 +151,7 @@ impl ArtifactStore {
     /// # Panics
     ///
     /// Panics when `model` or `target` is empty or contains `|` or a
-    /// newline (such ids would render an unparseable file; the serving
+    /// newline (such ids would persist an unparseable record; the serving
     /// engine rejects them with a typed error before reaching here).
     pub fn record(&mut self, model: &str, target: &str, entry: ArtifactEntry) {
         for id in [model, target] {
@@ -330,300 +293,13 @@ impl ArtifactStore {
         });
         removed
     }
-
-    /// Render the canonical file representation (format version 1).
-    #[must_use]
-    pub fn encode(&self) -> String {
-        let mut body = String::new();
-        for (model, target, entries) in self
-            .models
-            .iter()
-            .flat_map(|(m, ts)| ts.iter().map(move |(t, es)| (m, t, es)))
-        {
-            let mut sorted: Vec<&ArtifactEntry> = entries.iter().collect();
-            sorted.sort_by_key(|e| (e.workload.encode(), e.tuning.encode()));
-            body.push_str(&format!("model {model}|{target}|{}\n", sorted.len()));
-            for e in sorted {
-                body.push_str(&format!("kernel {}\n", encode_entry_fields(e)));
-            }
-        }
-        format!(
-            "{ARTIFACT_FORMAT_VERSION}\n{body}end {:016x}\n",
-            fnv1a(body.as_bytes())
-        )
-    }
-
-    /// Parse a file produced by [`ArtifactStore::encode`].
-    ///
-    /// # Errors
-    ///
-    /// Every malformed input maps to a typed [`ArtifactError`]:
-    /// unknown version lines, truncation (missing kernel lines or
-    /// trailer), field-level corruption, checksum mismatches.
-    pub fn decode(text: &str) -> Result<ArtifactStore, ArtifactError> {
-        let mut lines = text.lines().enumerate();
-        let (_, version) = lines.next().ok_or(ArtifactError::Truncated {
-            reason: "empty file (missing version line)".to_string(),
-        })?;
-        if version != ARTIFACT_FORMAT_VERSION {
-            return Err(ArtifactError::UnsupportedVersion {
-                found: version.to_string(),
-            });
-        }
-
-        let mut store = ArtifactStore::new();
-        let mut body = String::new();
-        let mut trailer: Option<(usize, String)> = None;
-        let mut pending: Option<(String, String, usize)> = None; // model, target, remaining
-
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            if let Some(rest) = line.strip_prefix("end ") {
-                trailer = Some((lineno, rest.to_string()));
-                // Anything after the trailer is corruption, not padding.
-                if text.lines().count() > lineno {
-                    return Err(ArtifactError::Corrupt {
-                        line: lineno + 1,
-                        reason: "content after the end trailer".to_string(),
-                    });
-                }
-                break;
-            }
-            body.push_str(line);
-            body.push('\n');
-            parse_body_line(line, lineno, &mut pending, &mut store)?;
-        }
-
-        if let Some((model, target, remaining)) = pending {
-            if remaining > 0 {
-                return Err(ArtifactError::Truncated {
-                    reason: format!("{model}/{target}: {remaining} kernel line(s) missing"),
-                });
-            }
-        }
-        let (_, expected) = trailer.ok_or(ArtifactError::Truncated {
-            reason: "missing end trailer".to_string(),
-        })?;
-        let found = format!("{:016x}", fnv1a(body.as_bytes()));
-        if expected != found {
-            return Err(ArtifactError::ChecksumMismatch { expected, found });
-        }
-        Ok(store)
-    }
-
-    /// Save the canonical rendering to `path` **atomically**: the bytes
-    /// are written to a sibling temp file, fsynced, then renamed over
-    /// `path`. A crash at any instant leaves either the previous store
-    /// or the new one — never a torn mix (the pre-fix direct
-    /// `fs::write` could tear the very file `load_recovering` then had
-    /// to salvage).
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] on filesystem failure.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), ArtifactError> {
-        write_atomically(path.as_ref(), self.encode().as_bytes())?;
-        Ok(())
-    }
-
-    /// Load and parse a store from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] on filesystem failure, otherwise whatever
-    /// [`ArtifactStore::decode`] rejects.
-    pub fn load(path: impl AsRef<Path>) -> Result<ArtifactStore, ArtifactError> {
-        let text = std::fs::read_to_string(path)?;
-        ArtifactStore::decode(&text)
-    }
-
-    /// Parse like [`ArtifactStore::decode`], but recover from a *torn
-    /// tail* — the one damage shape a crash mid-[`save`](ArtifactStore::save)
-    /// can leave: a partially written final line and/or a missing or
-    /// partial `end` trailer, with every earlier line intact. Recovery
-    /// truncates to the last fully valid entry; [`TailRecovery`] reports
-    /// whether anything was dropped.
-    ///
-    /// # Errors
-    ///
-    /// Everything that is *not* a torn tail is still rejected exactly as
-    /// [`ArtifactStore::decode`] rejects it: unknown versions, a full
-    /// 16-digit trailer whose checksum disagrees with the body, and any
-    /// damaged line that is followed by more content (mid-file damage
-    /// cannot come from a crashed append, so it is treated as
-    /// corruption, never silently truncated).
-    pub fn decode_recovering(text: &str) -> Result<(ArtifactStore, TailRecovery), ArtifactError> {
-        let strict = match ArtifactStore::decode(text) {
-            Ok(store) => return Ok((store, TailRecovery::Clean)),
-            // Hard rejections recovery must never paper over. A
-            // checksum mismatch is NOT filtered here: a torn trailer
-            // (fewer than 16 digits) also mismatches, and only
-            // `recover_tail` can tell the two apart.
-            Err(e @ (ArtifactError::Io(_) | ArtifactError::UnsupportedVersion { .. })) => {
-                return Err(e)
-            }
-            Err(e) => e,
-        };
-        recover_tail(text, strict)
-    }
-
-    /// [`ArtifactStore::load`] with torn-tail recovery — see
-    /// [`ArtifactStore::decode_recovering`]. This is the entry point a
-    /// serving warm start should use: a crash mid-save costs at most the
-    /// entry being written, never the whole store.
-    ///
-    /// # Errors
-    ///
-    /// [`ArtifactError::Io`] on filesystem failure, otherwise whatever
-    /// [`ArtifactStore::decode_recovering`] rejects.
-    pub fn load_recovering(
-        path: impl AsRef<Path>,
-    ) -> Result<(ArtifactStore, TailRecovery), ArtifactError> {
-        let text = std::fs::read_to_string(path)?;
-        ArtifactStore::decode_recovering(&text)
-    }
-}
-
-/// What [`ArtifactStore::decode_recovering`] found at the end of the
-/// file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TailRecovery {
-    /// The file was intact; nothing was dropped.
-    Clean,
-    /// The tail was torn (missing or partial `end` trailer) and was
-    /// dropped; `dropped_line` says whether a damaged final body line
-    /// went with it. Every entry before the tear was kept.
-    Recovered {
-        /// Whether a partially written final body line was discarded in
-        /// addition to the trailer.
-        dropped_line: bool,
-    },
-}
-
-/// The torn-tail walk behind [`ArtifactStore::decode_recovering`]:
-/// re-parse the body, keeping entries while lines stay valid. Damage is
-/// recoverable only on the very last line of the file; anywhere earlier
-/// the strict error stands.
-fn recover_tail(
-    text: &str,
-    strict: ArtifactError,
-) -> Result<(ArtifactStore, TailRecovery), ArtifactError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let Some((&version, body_lines)) = lines.split_first() else {
-        return Err(strict);
-    };
-    if version != ARTIFACT_FORMAT_VERSION {
-        return Err(strict);
-    }
-    let last = body_lines.len().saturating_sub(1);
-    let mut store = ArtifactStore::new();
-    let mut pending: Option<(String, String, usize)> = None;
-    for (i, line) in body_lines.iter().enumerate() {
-        let lineno = i + 2; // 1-based; line 1 is the version line
-        let is_last = i == last;
-        if let Some(rest) = line.strip_prefix("end ") {
-            if rest.len() == 16 && rest.bytes().all(|b| b.is_ascii_hexdigit()) {
-                // A fully written trailer means the save completed;
-                // whatever strict parsing rejected is real damage.
-                return Err(strict);
-            }
-            if !is_last {
-                return Err(strict);
-            }
-            // The crash hit mid-trailer: everything before it parsed.
-            return Ok((
-                store,
-                TailRecovery::Recovered {
-                    dropped_line: false,
-                },
-            ));
-        }
-        match parse_body_line(line, lineno, &mut pending, &mut store) {
-            Ok(()) => {}
-            // A damaged *final* line is the torn-tail signature; drop it.
-            Err(_) if is_last => {
-                return Ok((store, TailRecovery::Recovered { dropped_line: true }))
-            }
-            Err(_) => return Err(strict),
-        }
-    }
-    // Ran off the end without any trailer. An incomplete trailing model
-    // block is exactly the torn-tail shape, so `pending` is not checked.
-    Ok((
-        store,
-        TailRecovery::Recovered {
-            dropped_line: false,
-        },
-    ))
-}
-
-/// Parse one body line (`model ` header or `kernel ` entry) into
-/// `store`, tracking the current block in `pending` — shared by the
-/// strict and recovering decoders so they can never drift.
-fn parse_body_line(
-    line: &str,
-    lineno: usize,
-    pending: &mut Option<(String, String, usize)>,
-    store: &mut ArtifactStore,
-) -> Result<(), ArtifactError> {
-    if let Some(rest) = line.strip_prefix("model ") {
-        if let Some((model, target, remaining)) = pending.take() {
-            if remaining > 0 {
-                return Err(ArtifactError::Truncated {
-                    reason: format!(
-                        "{model}/{target}: {remaining} kernel line(s) missing before line {lineno}"
-                    ),
-                });
-            }
-        }
-        let mut parts = rest.splitn(3, '|');
-        let model = parts.next().unwrap_or_default();
-        let target = parts
-            .next()
-            .ok_or_else(|| corrupt(lineno, "model header needs model|target|count"))?;
-        let count: usize = parts
-            .next()
-            .ok_or_else(|| corrupt(lineno, "model header needs model|target|count"))?
-            .parse()
-            .map_err(|e| corrupt(lineno, &format!("bad entry count: {e}")))?;
-        if model.is_empty() || target.is_empty() {
-            return Err(corrupt(lineno, "empty model or target id"));
-        }
-        *pending = Some((model.to_string(), target.to_string(), count));
-    } else if let Some(rest) = line.strip_prefix("kernel ") {
-        let (model, target, remaining) = pending
-            .as_mut()
-            .ok_or_else(|| corrupt(lineno, "kernel line outside a model block"))?;
-        if *remaining == 0 {
-            return Err(corrupt(
-                lineno,
-                "more kernel lines than the header declared",
-            ));
-        }
-        *remaining -= 1;
-        let entry = decode_entry_fields(rest).map_err(|e| corrupt(lineno, &e))?;
-        let (model, target) = (model.clone(), target.clone());
-        store.record(&model, &target, entry);
-    } else {
-        return Err(corrupt(lineno, "unrecognized line"));
-    }
-    Ok(())
-}
-
-fn corrupt(line: usize, reason: &str) -> ArtifactError {
-    ArtifactError::Corrupt {
-        line,
-        reason: reason.to_string(),
-    }
 }
 
 /// Render one entry's payload fields —
-/// `workload|tuning|replay|f64-bits-hex16|[tier=<tier>|]note` — shared
-/// by the store's `kernel ` lines and the journal's `put ` records so
-/// the two formats can never drift on the entry encoding. Full-tier
-/// entries omit the tier marker: the terminal state encodes exactly as
-/// the pre-tier format did, so only transient cold entries perturb the
-/// bytes (and absent decodes as full — old files keep loading).
+/// `workload|tuning|replay|f64-bits-hex16|[tier=<tier>|]note` — the
+/// payload of the journal's `put` records. Full-tier entries omit the
+/// tier marker, so only transient cold entries carry one (and absent
+/// decodes as full).
 pub(crate) fn encode_entry_fields(e: &ArtifactEntry) -> String {
     let tier = match e.tier {
         TuneTier::Full => String::new(),
@@ -660,12 +336,11 @@ pub(crate) fn decode_entry_fields(s: &str) -> Result<ArtifactEntry, String> {
     if !micros.is_finite() || micros < 0.0 {
         return Err("latency must be finite and non-negative".to_string());
     }
-    // Sniff the optional tier marker. Absent = full tier (the pre-tier
-    // encoding). A field that is a *torn* marker — `tier=co`, or any
-    // proper prefix like `tie` — is damage, not a note: provider notes
-    // never spell a tier marker, and accepting the fragment as a note
-    // would silently mislabel a cold entry as full. Rejecting it lets
-    // torn-tail recovery drop exactly the line being written.
+    // Sniff the optional tier marker. Absent = full tier. A field that
+    // is a *torn* marker — `tier=co`, or any proper prefix like `tie` —
+    // is damage, not a note: provider notes never spell a tier marker,
+    // and accepting the fragment as a note would silently mislabel a
+    // cold entry as full.
     let (tier, note) = match rest.strip_prefix("tier=") {
         None => {
             if !rest.is_empty()
@@ -703,8 +378,8 @@ pub(crate) fn save_temp_path(path: &Path) -> std::path::PathBuf {
 
 /// Write `bytes` to `path` atomically: temp file in the same directory,
 /// `fsync`, rename over the target, then best-effort `fsync` of the
-/// parent directory so the rename itself is durable. Shared by
-/// [`ArtifactStore::save`] and the journal's compaction rewrite.
+/// parent directory so the rename itself is durable. The journal's
+/// create and compaction rewrites go through here.
 pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     use std::io::Write;
     let tmp = save_temp_path(path);
@@ -729,8 +404,8 @@ pub(crate) fn write_atomically(path: &Path, bytes: &[u8]) -> std::io::Result<()>
 }
 
 /// FNV-1a 64-bit: tiny, dependency-free, good enough to catch flipped
-/// bits and truncated/edited bodies (not a cryptographic signature).
-/// Shared with the journal's per-record checksums.
+/// bits and truncated/edited records (not a cryptographic signature).
+/// The journal's per-record checksum.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -743,6 +418,8 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::{fold_records, store_records, Journal, JournalConfig, JournalRecord};
+    use std::path::PathBuf;
     use unit_core::tuner::{CpuTuneMode, GpuTuneMode};
     use unit_graph::OpSpec;
 
@@ -801,244 +478,29 @@ mod tests {
         store
     }
 
+    /// Every entry of `store`, with its `(model, target)`.
+    fn all_entries(store: &ArtifactStore) -> Vec<&ArtifactEntry> {
+        store
+            .model_targets()
+            .into_iter()
+            .flat_map(|(m, t)| store.entries(&m, &t).iter())
+            .collect()
+    }
+
     #[test]
     fn encode_decode_round_trips_bit_exactly() {
         let store = sample_store();
-        let text = store.encode();
-        let back = ArtifactStore::decode(&text).unwrap();
-        assert_eq!(back.len(), store.len());
-        for (model, target) in store.model_targets() {
-            assert_eq!(
-                back.entries(&model, &target),
-                store.entries(&model, &target)
-            );
+        for e in all_entries(&store) {
+            let text = encode_entry_fields(e);
+            let back = decode_entry_fields(&text).unwrap();
+            assert_eq!(&back, e);
+            // Canonical: encoding the decoded entry reproduces the bytes.
+            assert_eq!(encode_entry_fields(&back), text);
         }
         // Bit-exact latency: 0.1 + 0.2 != 0.3 must survive.
-        let e = &back.entries("transformer-tiny", "nvidia-tensor-core")[0];
-        assert_eq!(e.micros.to_bits(), (0.1f64 + 0.2).to_bits());
-        // Canonical: encoding the decoded store reproduces the bytes.
-        assert_eq!(back.encode(), text);
-    }
-
-    #[test]
-    fn version_bump_is_rejected_with_a_typed_error() {
-        let text = sample_store()
-            .encode()
-            .replace("unit-artifact-store v1", "unit-artifact-store v2");
-        match ArtifactStore::decode(&text) {
-            Err(ArtifactError::UnsupportedVersion { found }) => {
-                assert_eq!(found, "unit-artifact-store v2");
-            }
-            other => panic!("expected UnsupportedVersion, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn truncation_is_rejected_with_a_typed_error() {
-        let full = sample_store().encode();
-        // Drop the trailer.
-        let without_end: String = full
-            .lines()
-            .filter(|l| !l.starts_with("end "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(matches!(
-            ArtifactStore::decode(&without_end),
-            Err(ArtifactError::Truncated { .. })
-        ));
-        // Drop a kernel line mid-block: the count no longer matches.
-        let mut dropped_one = false;
-        let missing_kernel: String = full
-            .lines()
-            .filter(|l| {
-                if !dropped_one && l.starts_with("kernel ") {
-                    dropped_one = true;
-                    false
-                } else {
-                    true
-                }
-            })
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(matches!(
-            ArtifactStore::decode(&missing_kernel),
-            Err(ArtifactError::Truncated { .. }) | Err(ArtifactError::Corrupt { .. })
-        ));
-        // Empty file.
-        assert!(matches!(
-            ArtifactStore::decode(""),
-            Err(ArtifactError::Truncated { .. })
-        ));
-    }
-
-    #[test]
-    fn corruption_is_rejected_with_a_typed_error() {
-        let full = sample_store().encode();
-        // Field-level corruption: an unknown workload kind fails to parse.
-        let bad_kind = full.replacen("kernel conv", "kernel vonc", 1);
-        assert_ne!(bad_kind, full, "the fixture must contain a conv entry");
-        assert!(matches!(
-            ArtifactStore::decode(&bad_kind),
-            Err(ArtifactError::Corrupt { .. })
-        ));
-        // Silent edit: a tampered note still parses, but the checksum
-        // catches it.
-        let tampered = full.replacen("wmma", "wmmb", 1);
-        assert_ne!(tampered, full, "the fixture must contain a wmma note");
-        assert!(matches!(
-            ArtifactStore::decode(&tampered),
-            Err(ArtifactError::ChecksumMismatch { .. })
-        ));
-        // A stray line between body and trailer is corruption.
-        let stray = full.replace("end ", "garbage\nend ");
-        assert!(matches!(
-            ArtifactStore::decode(&stray),
-            Err(ArtifactError::Corrupt { .. })
-        ));
-        // Invalid group structure is caught by workload validation even
-        // when someone recomputes the checksum.
-        let mut bad_groups = sample_store();
-        bad_groups.record(
-            "m",
-            "t",
-            ArtifactEntry {
-                workload: CacheWorkload::Op(OpSpec::gemm(8, 8, 8)),
-                tuning: TuningConfig::default(),
-                replay: TuningConfig::default(),
-                micros: 1.0,
-                tier: TuneTier::Full,
-                note: String::new(),
-            },
-        );
-        let text = bad_groups.encode().replace("gemm:1:8:8:8", "gemm:1:8:8:0");
-        let body: String = text
-            .lines()
-            .skip(1)
-            .filter(|l| !l.starts_with("end "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let rechecksummed = format!(
-            "{ARTIFACT_FORMAT_VERSION}\n{body}end {:016x}\n",
-            fnv1a(body.as_bytes())
-        );
-        assert!(matches!(
-            ArtifactStore::decode(&rechecksummed),
-            Err(ArtifactError::Corrupt { .. })
-        ));
-    }
-
-    /// Every recovered entry must match an original entry with the same
-    /// workload+tuning identity — bit-exact latency and replay config,
-    /// and a note that is at worst a prefix of the original (a chop
-    /// inside the note still parses, since the note is the last field).
-    fn assert_entries_survive(original: &ArtifactStore, recovered: &ArtifactStore, ctx: &str) {
-        for (model, target) in recovered.model_targets() {
-            for e in recovered.entries(&model, &target) {
-                let orig = original
-                    .lookup(&model, &target, &e.workload, e.tuning)
-                    .unwrap_or_else(|| panic!("{ctx}: recovered entry not in the original"));
-                assert_eq!(e.replay, orig.replay, "{ctx}");
-                assert_eq!(e.micros.to_bits(), orig.micros.to_bits(), "{ctx}");
-                assert!(
-                    orig.note.starts_with(&e.note),
-                    "{ctx}: note {:?} is not a prefix of {:?}",
-                    e.note,
-                    orig.note
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chopping_the_final_record_recovers_at_every_byte_offset() {
-        let store = sample_store();
-        let full = store.encode();
-        let n = store.len();
-        // The final record: the last kernel line plus the end trailer.
-        let final_record = full.rfind("\nkernel ").unwrap() + 1;
-        for cut in final_record..full.len() {
-            let chopped = &full[..cut];
-            let ctx = format!("cut at byte {cut}");
-            let (back, how) =
-                ArtifactStore::decode_recovering(chopped).unwrap_or_else(|e| panic!("{ctx}: {e}"));
-            // The torn final entry either still parses (the chop landed
-            // in its note, the last field) or is dropped — recovery
-            // never costs more than the entry being written.
-            assert!(
-                back.len() == n || back.len() == n - 1,
-                "{ctx}: kept {} of {n}",
-                back.len()
-            );
-            // Only removing the trailing newline leaves the file intact.
-            if ArtifactStore::decode(chopped).is_ok() {
-                assert_eq!(how, TailRecovery::Clean, "{ctx}");
-                assert_eq!(back.len(), n, "{ctx}");
-            } else {
-                assert!(matches!(how, TailRecovery::Recovered { .. }), "{ctx}");
-            }
-            assert_entries_survive(&store, &back, &ctx);
-        }
-    }
-
-    #[test]
-    fn missing_trailer_alone_recovers_every_entry() {
-        let store = sample_store();
-        let without_end: String = store
-            .encode()
-            .lines()
-            .filter(|l| !l.starts_with("end "))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        assert!(ArtifactStore::decode(&without_end).is_err());
-        let (back, how) = ArtifactStore::decode_recovering(&without_end).unwrap();
-        assert_eq!(
-            how,
-            TailRecovery::Recovered {
-                dropped_line: false
-            }
-        );
-        assert_eq!(back.len(), store.len());
-        assert_entries_survive(&store, &back, "missing trailer");
-    }
-
-    #[test]
-    fn recovery_still_rejects_mid_file_damage() {
-        let full = sample_store().encode();
-        // Version mismatch: never recovered.
-        let versioned = full.replace("unit-artifact-store v1", "unit-artifact-store v2");
-        assert!(matches!(
-            ArtifactStore::decode_recovering(&versioned),
-            Err(ArtifactError::UnsupportedVersion { .. })
-        ));
-        // A full trailer with a disagreeing body is corruption, not a
-        // torn tail: the save completed, then something edited the file.
-        let tampered = full.replacen("wmma", "wmmb", 1);
-        assert_ne!(tampered, full);
-        assert!(matches!(
-            ArtifactStore::decode_recovering(&tampered),
-            Err(ArtifactError::ChecksumMismatch { .. })
-        ));
-        // A damaged line *followed by more content* is mid-file damage.
-        let bad_kind = full.replacen("kernel conv", "kernel vonc", 1);
-        assert_ne!(bad_kind, full);
-        assert!(matches!(
-            ArtifactStore::decode_recovering(&bad_kind),
-            Err(ArtifactError::Corrupt { .. })
-        ));
-        // A stray line between body and trailer, likewise.
-        let stray = full.replace("end ", "garbage\nend ");
-        assert!(matches!(
-            ArtifactStore::decode_recovering(&stray),
-            Err(ArtifactError::Corrupt { .. })
-        ));
-    }
-
-    #[test]
-    fn clean_files_recover_as_clean() {
-        let store = sample_store();
-        let (back, how) = ArtifactStore::decode_recovering(&store.encode()).unwrap();
-        assert_eq!(how, TailRecovery::Clean);
-        assert_eq!(back.encode(), store.encode());
+        let e = &store.entries("transformer-tiny", "nvidia-tensor-core")[0];
+        let back = decode_entry_fields(&encode_entry_fields(e)).unwrap();
+        assert_eq!(back.micros.to_bits(), (0.1f64 + 0.2).to_bits());
     }
 
     #[test]
@@ -1090,49 +552,316 @@ mod tests {
 
     #[test]
     fn save_is_atomic_under_a_simulated_mid_save_crash() {
-        // Regression: `save` used to `fs::write` the final path directly,
-        // so a crash mid-save tore the very file warm starts depend on.
-        // Now the bytes stage through a sibling temp file and land via
-        // rename: a crash before the rename leaves the previous store
-        // byte-identical and strictly loadable (no recovery needed).
+        // Journal compaction — the atomic rewrite's remaining caller —
+        // stages the new bytes through a sibling temp file and lands
+        // them via rename: a crash before the rename leaves the previous
+        // journal byte-identical and strictly loadable.
         let dir = std::env::temp_dir().join(format!("unit-atomic-save-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("store");
+        let path = dir.join("journal");
         let old = sample_store();
-        old.save(&path).unwrap();
+        let journal = Journal::open(JournalConfig::at(&path)).unwrap();
+        journal.append(&store_records(&old)).unwrap();
+        journal.compact().unwrap();
         assert!(
             !save_temp_path(&path).exists(),
-            "a completed save leaves no staging file behind"
+            "a completed compaction leaves no staging file behind"
         );
+        let before = std::fs::read_to_string(&path).unwrap();
 
-        // Simulate the crash: a new save that died after writing half its
+        // Simulate the crash: a rewrite that died after writing half its
         // temp file and never reached the rename.
-        let mut bigger = sample_store();
-        bigger.record(
-            "extra-model",
-            "x86-avx512-vnni",
-            ArtifactEntry {
-                workload: CacheWorkload::Op(OpSpec::gemm(32, 32, 32)),
-                tuning: TuningConfig::default(),
-                replay: TuningConfig::default(),
-                micros: 3.5,
-                tier: TuneTier::Full,
-                note: "late arrival".to_string(),
-            },
-        );
-        let torn = &bigger.encode()[..bigger.encode().len() / 2];
-        std::fs::write(save_temp_path(&path), torn).unwrap();
+        std::fs::write(save_temp_path(&path), &before[..before.len() / 2]).unwrap();
 
-        // The store at `path` is untouched: strict decode (not the
-        // recovering path) still sees the exact old bytes.
-        let back = ArtifactStore::load(&path).expect("old store survives the crash intact");
-        assert_eq!(back.encode(), old.encode());
+        // The journal at `path` is untouched and opens strictly.
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+        let back = Journal::open(JournalConfig::at(&path))
+            .expect("old journal survives the crash intact")
+            .snapshot()
+            .unwrap();
+        assert_eq!(all_entries(&back), all_entries(&old));
 
-        // A subsequent completed save replaces it and cleans up staging.
-        bigger.save(&path).unwrap();
+        // A subsequent completed compaction replaces it and cleans up
+        // the staging file.
+        let extra = ArtifactEntry {
+            workload: CacheWorkload::Op(OpSpec::gemm(32, 32, 32)),
+            tuning: TuningConfig::default(),
+            replay: TuningConfig::default(),
+            micros: 3.5,
+            tier: TuneTier::Full,
+            note: "late arrival".to_string(),
+        };
+        let mut bigger = old.clone();
+        bigger.record("extra-model", "x86-avx512-vnni", extra);
+        journal.append(&store_records(&bigger)).unwrap();
+        journal.compact().unwrap();
         assert!(!save_temp_path(&path).exists());
-        let back = ArtifactStore::load(&path).unwrap();
-        assert_eq!(back.encode(), bigger.encode());
+        let back = Journal::open(JournalConfig::at(&path))
+            .unwrap()
+            .snapshot()
+            .unwrap();
+        assert_eq!(all_entries(&back), all_entries(&bigger));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `store` persisted as a fresh journal — the store's one on-disk
+    /// form — in its own temp directory. Returns the directory, the
+    /// journal path and the journal's bytes.
+    fn persisted(tag: &str, store: &ArtifactStore) -> (PathBuf, PathBuf, String) {
+        let dir = std::env::temp_dir().join(format!("unit-artifact-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("journal");
+        Journal::open(JournalConfig::at(&path))
+            .unwrap()
+            .append(&store_records(store))
+            .unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        (dir, path, text)
+    }
+
+    /// Write `text` over the journal at `path`, then open it strictly
+    /// and fold it back into a store.
+    fn reopen(path: &Path, text: &str) -> Result<ArtifactStore, ArtifactError> {
+        std::fs::write(path, text).unwrap();
+        Journal::open(JournalConfig::at(path))?.snapshot()
+    }
+
+    /// A `put` line whose checksum matches its payload, so only the
+    /// field-level validation can reject it.
+    fn signed_put(payload: &str) -> String {
+        format!("put {:016x} {payload}\n", fnv1a(payload.as_bytes()))
+    }
+
+    /// The sample store's conv entry, the one every damage test edits.
+    fn conv_entry(store: &ArtifactStore) -> &ArtifactEntry {
+        &store.entries("resnet-18", "x86-avx512-vnni")[0]
+    }
+
+    #[test]
+    fn version_bump_is_rejected_with_a_typed_error() {
+        // A journal under any other header — a newer version, an unknown
+        // one, or a file of the deleted standalone store format — is
+        // rejected with the header it carries, and left byte-identical.
+        let (dir, path, text) = persisted("version", &sample_store());
+        let body = &text[text.find('\n').unwrap() + 1..];
+        for header in [
+            "unit-artifact-journal v4 gen 1",
+            "unit-artifact-journal v99",
+            "unit-artifact-store v1",
+        ] {
+            let bumped = format!("{header}\n{body}");
+            match reopen(&path, &bumped) {
+                Err(ArtifactError::UnsupportedVersion { found }) => assert_eq!(found, header),
+                other => panic!("{header}: expected UnsupportedVersion, got {other:?}"),
+            }
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                bumped,
+                "{header}: a rejected journal is left untouched"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncation_is_rejected_with_a_typed_error() {
+        let store = sample_store();
+        let (dir, path, text) = persisted("truncation", &store);
+        // A header without its newline — or no header at all — is
+        // truncation: headers are written atomically, so this file was
+        // never a journal of ours.
+        let header = text.lines().next().unwrap();
+        for cut in [&header[..header.len() / 2], header, ""] {
+            assert!(
+                matches!(reopen(&path, cut), Err(ArtifactError::Truncated { .. })),
+                "{cut:?}"
+            );
+        }
+        // An entry cut short after any of its fixed fields is rejected,
+        // both by the entry decoder and, checksummed, by the journal.
+        let e = conv_entry(&store);
+        let fields = [
+            e.workload.encode(),
+            e.tuning.encode(),
+            e.replay.encode(),
+            format!("{:016x}", e.micros.to_bits()),
+        ];
+        let next_line = text.lines().count() + 1;
+        for k in 1..=fields.len() {
+            let short = fields[..k].join("|");
+            assert!(decode_entry_fields(&short).is_err(), "{short}");
+            let err = reopen(
+                &path,
+                &format!("{text}{}", signed_put(&format!("m|t|{short}"))),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ArtifactError::Corrupt { line, .. } if line == next_line),
+                "{short}: {err:?}"
+            );
+        }
+        // A journal that cannot even be created is an I/O error.
+        assert!(matches!(
+            Journal::open(JournalConfig::at(dir.join("missing").join("journal"))),
+            Err(ArtifactError::Io(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn corruption_is_rejected_with_a_typed_error() {
+        let store = sample_store();
+        let (dir, path, text) = persisted("corruption", &store);
+        let next_line = text.lines().count() + 1;
+        let fields = encode_entry_fields(conv_entry(&store));
+        // Field-level corruption under a valid checksum: an unknown
+        // workload kind, a conv with a zero-sized kernel, bad latency
+        // bits and a torn tier marker all fail to parse.
+        for bad in [
+            fields.replacen("conv:", "vonc:", 1),
+            fields.replacen(":3:3:", ":0:3:", 1),
+            fields.replacen(
+                &format!("{:016x}", conv_entry(&store).micros.to_bits()),
+                "zz",
+                1,
+            ),
+            fields.replacen("|llvm", "|tier=co", 1),
+        ] {
+            assert_ne!(bad, fields, "the edit must land");
+            let err = reopen(
+                &path,
+                &format!("{text}{}", signed_put(&format!("m|t|{bad}"))),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ArtifactError::Corrupt { line, .. } if line == next_line),
+                "{bad}: {err:?}"
+            );
+        }
+        // Silent edit: a tampered note still parses, but the record
+        // checksum catches it.
+        let tampered = text.replacen("wmma", "wmmb", 1);
+        assert_ne!(tampered, text, "the fixture must contain a wmma note");
+        match reopen(&path, &tampered) {
+            Err(ArtifactError::Corrupt { reason, .. }) => {
+                assert!(reason.contains("checksum"), "{reason}");
+            }
+            other => panic!("expected a checksum failure, got {other:?}"),
+        }
+        // A record of an unknown kind is corruption even when signed.
+        let unknown = format!("{text}add {:016x} x\n", fnv1a(b"x"));
+        assert!(matches!(
+            reopen(&path, &unknown),
+            Err(ArtifactError::Corrupt { line, .. }) if line == next_line
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn chopping_the_final_record_recovers_at_every_byte_offset() {
+        // A crash mid-append leaves the final `put` line torn. At every
+        // cut inside it, a strict open succeeds, every earlier entry is
+        // restored bit-exactly and only the torn one is lost; the next
+        // append heals the tail, after which re-recording the lost entry
+        // restores the whole store.
+        let store = sample_store();
+        let (dir, path, text) = persisted("chop", &store);
+        let final_line = text[..text.len() - 1].rfind('\n').unwrap() + 1;
+        let records = store_records(&store);
+        let (lost, earlier) = records.split_last().unwrap();
+        let expected = fold_records(earlier.to_vec());
+        for cut in final_line..text.len() {
+            let ctx = format!("cut at byte {cut}");
+            let back = reopen(&path, &text[..cut]).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(back.len(), store.len() - 1, "{ctx}");
+            assert_eq!(all_entries(&back), all_entries(&expected), "{ctx}");
+
+            let journal = Journal::open(JournalConfig::at(&path)).unwrap();
+            journal.append(std::slice::from_ref(lost)).unwrap();
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                text,
+                "{ctx}: healing truncates the fragment, then appends whole lines"
+            );
+            assert_eq!(
+                all_entries(&journal.snapshot().unwrap()),
+                all_entries(&store),
+                "{ctx}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recovery_still_rejects_mid_file_damage() {
+        // Torn-tail tolerance covers only the bytes after the last
+        // newline: a damaged complete line is corruption even when more
+        // records — or a torn tail — follow it, and no append heals it
+        // away.
+        let store = sample_store();
+        let (dir, path, text) = persisted("mid-file", &store);
+        let damaged = text.replacen("llvm.x86", "llvm.x87", 1);
+        assert_ne!(damaged, text, "the fixture must contain an llvm note");
+        let with_torn_tail = &damaged[..damaged.len() - 5];
+        for bytes in [damaged.as_str(), with_torn_tail] {
+            assert!(matches!(
+                reopen(&path, bytes),
+                Err(ArtifactError::Corrupt { line: 2, .. })
+            ));
+        }
+        // A handle opened before the damage appends after it, but the
+        // damaged line stays in place and the journal stays rejected.
+        std::fs::write(&path, &text).unwrap();
+        let journal = Journal::open(JournalConfig::at(&path)).unwrap();
+        std::fs::write(&path, &damaged).unwrap();
+        journal.append(&store_records(&store)[..1]).unwrap();
+        assert!(std::fs::read_to_string(&path)
+            .unwrap()
+            .starts_with(&damaged));
+        assert!(matches!(
+            Journal::open(JournalConfig::at(&path)),
+            Err(ArtifactError::Corrupt { line: 2, .. })
+        ));
+        // A stray line between the header and the records, likewise.
+        let header = text.lines().next().unwrap();
+        let stray = text.replacen(&format!("{header}\n"), &format!("{header}\ngarbage\n"), 1);
+        assert!(matches!(
+            reopen(&path, &stray),
+            Err(ArtifactError::Corrupt { line: 2, .. })
+        ));
+        // An unsupported header is never recovered, torn tail or not.
+        let bumped = text.replacen(JOURNAL_FORMAT_VERSION, "unit-artifact-journal v4", 1);
+        assert!(matches!(
+            reopen(&path, &bumped[..bumped.len() - 3]),
+            Err(ArtifactError::UnsupportedVersion { .. })
+        ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn clean_files_recover_as_clean() {
+        // A journal with no torn tail opens without being touched, folds
+        // back to the exact store, and an append truncates none of it.
+        let store = sample_store();
+        let (dir, path, text) = persisted("clean", &store);
+        let journal = Journal::open(JournalConfig::at(&path)).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        assert_eq!(
+            all_entries(&journal.snapshot().unwrap()),
+            all_entries(&store)
+        );
+        let extra = tiered_entry(TuneTier::Cold, "appended");
+        journal
+            .append(&[JournalRecord::Put {
+                model: "m".to_string(),
+                target: "t".to_string(),
+                entry: Box::new(extra.clone()),
+            }])
+            .unwrap();
+        assert!(std::fs::read_to_string(&path).unwrap().starts_with(&text));
+        let back = journal.snapshot().unwrap();
+        assert_eq!(back.len(), store.len() + 1);
+        assert_eq!(back.entries("m", "t"), [extra]);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1151,12 +880,10 @@ mod tests {
         assert_eq!(removed, vnni);
         assert_eq!(store.len(), total - vnni);
         assert!(store.entries("resnet-18", "x86-avx512-vnni").is_empty());
-        // Other targets are untouched and the store still round-trips.
+        // Other targets are untouched.
         assert!(!store
             .entries("transformer-tiny", "nvidia-tensor-core")
             .is_empty());
-        let back = ArtifactStore::decode(&store.encode()).unwrap();
-        assert_eq!(back.encode(), store.encode());
         assert_eq!(store.retire_target("x86-avx512-vnni"), 0, "idempotent");
     }
 
@@ -1176,28 +903,17 @@ mod tests {
 
     #[test]
     fn tiered_entries_round_trip_and_absent_tier_decodes_full() {
-        let mut store = ArtifactStore::new();
-        store.record("m", "t", tiered_entry(TuneTier::Cold, "cheap|pick"));
-        store.record("m2", "t", tiered_entry(TuneTier::Full, "final pick"));
-        let text = store.encode();
+        let cold = tiered_entry(TuneTier::Cold, "cheap|pick");
+        let text = encode_entry_fields(&cold);
         assert!(text.contains("|tier=cold|"), "{text}");
-        assert!(
-            !text.contains("tier=full"),
-            "full tier stays implicit (pre-tier bytes): {text}"
-        );
-        let back = ArtifactStore::decode(&text).unwrap();
-        assert_eq!(back.entries("m", "t")[0].tier, TuneTier::Cold);
-        assert_eq!(back.entries("m", "t")[0].note, "cheap|pick");
-        assert_eq!(back.entries("m2", "t")[0].tier, TuneTier::Full);
-        assert_eq!(back.encode(), text, "canonical through the tier marker");
+        assert_eq!(decode_entry_fields(&text).unwrap(), cold);
 
-        // Absent marker = full tier: the pre-tier encoding still loads.
-        assert_eq!(
-            decode_entry_fields(&encode_entry_fields(&tiered_entry(TuneTier::Full, "n")))
-                .unwrap()
-                .tier,
-            TuneTier::Full
-        );
+        // Absent marker = full tier: the terminal state stays implicit.
+        let full = tiered_entry(TuneTier::Full, "final pick");
+        let text = encode_entry_fields(&full);
+        assert!(!text.contains("tier="), "full tier stays implicit: {text}");
+        assert_eq!(decode_entry_fields(&text).unwrap().tier, TuneTier::Full);
+
         // Torn markers are damage, not notes.
         for bad in ["tier=co|x", "tier=cold", "tier=", "tie"] {
             let line = format!(
@@ -1214,35 +930,28 @@ mod tests {
 
     #[test]
     fn chopping_a_cold_record_recovers_or_drops_never_mislabels() {
-        // The torn-tail walk over a *cold* final record: every chop
-        // offset either keeps the entry with its tier intact (the chop
-        // landed in the note) or drops the line — never a full-tier
-        // mislabel from a half-written `tier=cold|` marker.
-        let mut store = ArtifactStore::new();
-        store.record("m", "t", tiered_entry(TuneTier::Cold, "cold note"));
-        let full = store.encode();
-        let final_record = full.rfind("\nkernel ").unwrap() + 1;
+        // Every prefix of a *cold* entry's encoding either decodes with
+        // its tier intact (the chop landed in the note) or is rejected —
+        // never a full-tier mislabel from a half-written `tier=cold|`
+        // marker.
+        let full = encode_entry_fields(&tiered_entry(TuneTier::Cold, "cold note"));
         // A chop at exactly the marker start leaves `…|<micros>|` — a
-        // syntactically complete pre-tier line with an empty note,
-        // byte-identical to a legitimate full-tier record. Undetectable
-        // by construction (the marker is what distinguishes tiers), so
-        // that one offset is allowed to decode as full/empty-note.
+        // syntactically complete full-tier encoding with an empty note.
+        // Undetectable by construction (the marker is what distinguishes
+        // tiers), so that one offset is allowed to decode as
+        // full/empty-note.
         let marker_start = full.rfind("|tier=cold|").unwrap() + 1;
-        for cut in final_record..full.len() {
-            let chopped = &full[..cut];
-            let (back, _) = ArtifactStore::decode_recovering(chopped)
-                .unwrap_or_else(|e| panic!("cut at byte {cut}: {e}"));
-            match back.entries("m", "t") {
-                [] => {}
-                [e] if cut == marker_start => {
+        for cut in 0..=full.len() {
+            match decode_entry_fields(&full[..cut]) {
+                Err(_) => {}
+                Ok(e) if cut == marker_start => {
                     assert_eq!(e.tier, TuneTier::Full, "cut at byte {cut}");
                     assert!(e.note.is_empty(), "cut at byte {cut}");
                 }
-                [e] => {
+                Ok(e) => {
                     assert_eq!(e.tier, TuneTier::Cold, "cut at byte {cut} mislabeled");
                     assert!("cold note".starts_with(&e.note), "cut at byte {cut}");
                 }
-                more => panic!("cut at byte {cut}: {} entries", more.len()),
             }
         }
     }
@@ -1291,20 +1000,15 @@ mod tests {
     #[test]
     fn notes_may_contain_pipes() {
         let tuning = TuningConfig::default();
-        let mut store = ArtifactStore::new();
-        store.record(
-            "m",
-            "t",
-            ArtifactEntry {
-                workload: CacheWorkload::Op(OpSpec::gemm(8, 8, 8)),
-                tuning,
-                replay: tuning,
-                micros: 2.5,
-                tier: TuneTier::Full,
-                note: "a|b|c".to_string(),
-            },
-        );
-        let back = ArtifactStore::decode(&store.encode()).unwrap();
-        assert_eq!(back.entries("m", "t")[0].note, "a|b|c");
+        let entry = ArtifactEntry {
+            workload: CacheWorkload::Op(OpSpec::gemm(8, 8, 8)),
+            tuning,
+            replay: tuning,
+            micros: 2.5,
+            tier: TuneTier::Full,
+            note: "a|b|c".to_string(),
+        };
+        let back = decode_entry_fields(&encode_entry_fields(&entry)).unwrap();
+        assert_eq!(back.note, "a|b|c");
     }
 }

@@ -1,18 +1,21 @@
-//! The fleet-shared artifact **journal** — append-only persistence for
-//! tuning decisions, shared live by N serving replicas on one host.
+//! The artifact **journal** — the one on-disk format for tuning
+//! decisions: append-only, shared live by N serving replicas on one
+//! host.
 //!
-//! The whole-file [`ArtifactStore::save`](crate::ArtifactStore::save) /
-//! `load` cycle is fine for a single process, but replicas sharing one
-//! path would overwrite each other's entries (last writer wins the
-//! *whole file*). The journal replaces it with an append-only log under
-//! an advisory file lock: each replica appends the decisions it makes,
-//! and tails the decisions everyone else appended — so replica B
-//! warm-starts search-free off a kernel replica A tuned seconds ago.
+//! A whole-file snapshot rewritten by each process would let replicas
+//! sharing one path overwrite each other's entries (last writer wins
+//! the *whole file*). The journal is an append-only log under an
+//! advisory file lock instead: each replica appends the decisions it
+//! makes, and tails the decisions everyone else appended — so replica B
+//! warm-starts search-free off a kernel replica A tuned seconds ago. A
+//! single process persists the same way: attach a journal
+//! ([`crate::ServeEngine::attach_journal`]), or append an exported store
+//! with [`Journal::append`]`(&`[`store_records`]`(..))`.
 //!
 //! # File format (version 3)
 //!
-//! Line-oriented text, one record per line, hand-rolled like
-//! [`crate::artifact`]:
+//! Line-oriented text, one record per line, hand-rolled like the entry
+//! encoding in [`crate::artifact`]:
 //!
 //! ```text
 //! unit-artifact-journal v3 gen <generation>
@@ -21,12 +24,11 @@
 //! ...
 //! ```
 //!
-//! * The `put` payload after the checksum reuses the store's entry
-//!   encoding verbatim (`crate::artifact::encode_entry_fields`), so the
-//!   two formats cannot drift. Version 3 adds the optional
-//!   `tier=<tier>|` marker before the note (cold-tier decisions awaiting
-//!   a background re-tune); full-tier records omit it, and **absent
-//!   decodes as full tier** — which is the entire v2→v3 delta.
+//! * The `put` payload after the checksum is the store's entry
+//!   encoding (`crate::artifact::encode_entry_fields`), including the
+//!   optional `tier=<tier>|` marker before the note (cold-tier decisions
+//!   awaiting a background re-tune); full-tier records omit it, and
+//!   **absent decodes as full tier**.
 //! * Every record carries its own FNV-1a 64 checksum — **before** the
 //!   payload, because the trailing note field may contain `|` and must
 //!   stay last. A `\n`-terminated line whose checksum disagrees is hard
@@ -39,12 +41,9 @@
 //!   replaces same-identity entries, `retire` is a no-op when already
 //!   applied.
 //!
-//! Version 1 (`unit-artifact-journal v1`, `add <payload>` lines, no
-//! checksums or generation) and version 2 (`unit-artifact-journal v2` —
-//! same record grammar, no tier markers: every record decodes as a
-//! full-tier decision) are migrated to v3 atomically on
-//! [`Journal::open`]. The v2 migration preserves the file's compaction
-//! generation, so tailing replicas' cursors stay meaningful.
+//! Any other header — including the pre-release `v1`/`v2` headers — is
+//! rejected by [`Journal::open`] with
+//! [`ArtifactError::UnsupportedVersion`], and the file is left as it is.
 //!
 //! # Lock protocol
 //!
@@ -52,7 +51,7 @@
 //! file** `<path>.lock` — never on the journal itself, because
 //! compaction replaces the journal inode via rename and a lock on the
 //! old inode would no longer exclude anyone. Writers (append, compact,
-//! open/migrate) take the lock exclusively; readers (poll, snapshot)
+//! open) take the lock exclusively; readers (poll, snapshot)
 //! take it shared. Locks are advisory: every accessor in this module
 //! takes one, and external tooling must too.
 //!
@@ -81,18 +80,10 @@ use crate::artifact::{
 /// The version+generation prefix this build writes and accepts.
 pub const JOURNAL_FORMAT_VERSION: &str = "unit-artifact-journal v3";
 
-/// The legacy v1 header [`Journal::open`] migrates from.
-pub const JOURNAL_V1_VERSION: &str = "unit-artifact-journal v1";
-
-/// The legacy v2 header [`Journal::open`] migrates from (identical
-/// record grammar, no tier markers — every v2 record is full-tier).
-pub const JOURNAL_V2_VERSION: &str = "unit-artifact-journal v2";
-
 /// One journal record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
-    /// A tuning decision for `(model, target)` — same payload as a
-    /// store `kernel` line.
+    /// A tuning decision for `(model, target)`.
     Put {
         /// Model id.
         model: String,
@@ -158,17 +149,11 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Open (creating or migrating as needed) the journal at
-    /// `config.path`.
+    /// Open (creating if missing) the journal at `config.path`.
     ///
     /// * Missing file → created atomically with an empty v3 header.
-    /// * v1 file → migrated atomically to v3 (generation 1), keeping
-    ///   every valid record and dropping a torn v1 tail.
-    /// * v2 file → migrated atomically to v3, preserving the file's
-    ///   generation; every v2 record decodes as a full-tier decision
-    ///   (absent tier marker = full) and re-encodes byte-identically
-    ///   under the new header. A torn v2 tail is dropped.
     /// * v3 file → validated (header + every complete record).
+    /// * Anything else → rejected, and the file is not touched.
     ///
     /// # Errors
     ///
@@ -192,27 +177,6 @@ impl Journal {
                 write_atomically(&journal.path, render_header(1).as_bytes())?;
             }
             Err(e) => return Err(e.into()),
-            Ok(text) if text.starts_with(JOURNAL_V1_VERSION) => {
-                let records = parse_v1(&text)?;
-                let mut out = render_header(1);
-                for r in &records {
-                    out.push_str(&encode_record(r));
-                }
-                write_atomically(&journal.path, out.as_bytes())?;
-            }
-            Ok(text) if text.starts_with(JOURNAL_V2_VERSION) => {
-                // v2 → v3: same record grammar (no record in a v2 file
-                // carries a tier marker, and absent decodes as full
-                // tier), so migration re-encodes the records unchanged
-                // under the v3 header, preserving the generation so
-                // other handles' tail cursors stay coherent.
-                let (generation, records) = parse_v2(&text)?;
-                let mut out = render_header(generation);
-                for r in &records {
-                    out.push_str(&encode_record(r));
-                }
-                write_atomically(&journal.path, out.as_bytes())?;
-            }
             Ok(text) => {
                 // Validate header + all complete records up front so a
                 // corrupt journal fails at open, not mid-serving. A torn
@@ -519,7 +483,7 @@ fn parse_record(line: &str, lineno: usize) -> Result<JournalRecord, ArtifactErro
     }
 }
 
-/// A fully parsed v2 journal.
+/// A fully parsed journal.
 struct ParsedJournal {
     generation: u64,
     /// Byte offset of the first record (just past the header line).
@@ -572,7 +536,9 @@ fn parse_records_from(
 ) -> Result<(Vec<JournalRecord>, usize), ArtifactError> {
     let mut records = Vec::new();
     let mut pos = start;
-    let mut lineno = 1 + text[..start].matches('\n').count();
+    // Lines before `start`; the loop bumps it to the 1-based line of
+    // each record.
+    let mut lineno = text[..start].matches('\n').count();
     while pos < text.len() {
         let Some(nl) = text[pos..].find('\n') else {
             break; // torn tail: a crashed append's partial line
@@ -582,79 +548,6 @@ fn parse_records_from(
         pos += nl + 1;
     }
     Ok((records, pos))
-}
-
-/// Parse a legacy v2 journal: identical record grammar to v3 (the
-/// checksummed `put`/`retire` lines), just the older header — and no
-/// tier markers, so every entry decodes as a full-tier decision. A torn
-/// final line is dropped by the caller's rewrite (only complete records
-/// are returned); a complete line that fails its checksum is corruption.
-fn parse_v2(text: &str) -> Result<(u64, Vec<JournalRecord>), ArtifactError> {
-    let header_end = text.find('\n').ok_or_else(|| ArtifactError::Truncated {
-        reason: "v2 journal header line is incomplete".to_string(),
-    })?;
-    let header = &text[..header_end];
-    let generation = header
-        .strip_prefix(JOURNAL_V2_VERSION)
-        .and_then(|rest| rest.strip_prefix(" gen "))
-        .and_then(|g| g.parse::<u64>().ok())
-        .ok_or_else(|| ArtifactError::Corrupt {
-            line: 1,
-            reason: format!("bad generation in v2 header `{header}`"),
-        })?;
-    let (records, _valid_end) = parse_records_from(text, header_end + 1)?;
-    Ok((generation, records))
-}
-
-/// Parse a legacy v1 journal (`add <model>|<target>|<entry>` lines, no
-/// checksums, no generation). A torn final line (no `\n`) is dropped;
-/// any complete line that fails to parse is corruption.
-fn parse_v1(text: &str) -> Result<Vec<JournalRecord>, ArtifactError> {
-    let header_end = text.find('\n').ok_or_else(|| ArtifactError::Truncated {
-        reason: "v1 journal header line is incomplete".to_string(),
-    })?;
-    let header = &text[..header_end];
-    if header != JOURNAL_V1_VERSION {
-        return Err(ArtifactError::UnsupportedVersion {
-            found: header.to_string(),
-        });
-    }
-    let mut records = Vec::new();
-    let mut pos = header_end + 1;
-    let mut lineno = 1;
-    while pos < text.len() {
-        let Some(nl) = text[pos..].find('\n') else {
-            break; // torn v1 tail: dropped by the migration
-        };
-        lineno += 1;
-        let line = &text[pos..pos + nl];
-        pos += nl + 1;
-        let corrupt = |reason: String| ArtifactError::Corrupt {
-            line: lineno,
-            reason,
-        };
-        let payload = line
-            .strip_prefix("add ")
-            .ok_or_else(|| corrupt(format!("unknown v1 record `{line}`")))?;
-        let mut parts = payload.splitn(3, '|');
-        let model = parts.next().unwrap_or_default();
-        let target = parts
-            .next()
-            .ok_or_else(|| corrupt("v1 add needs model|target|entry".to_string()))?;
-        let entry_fields = parts
-            .next()
-            .ok_or_else(|| corrupt("v1 add needs model|target|entry".to_string()))?;
-        if model.is_empty() || target.is_empty() {
-            return Err(corrupt("empty model or target id".to_string()));
-        }
-        let entry = decode_entry_fields(entry_fields).map_err(corrupt)?;
-        records.push(JournalRecord::Put {
-            model: model.to_string(),
-            target: target.to_string(),
-            entry: Box::new(entry),
-        });
-    }
-    Ok(records)
 }
 
 /// Truncate a torn tail (bytes after the last `\n`) left by a crashed
@@ -902,80 +795,43 @@ mod tests {
     }
 
     #[test]
-    fn v1_journals_migrate_atomically_on_open() {
-        let dir = temp_dir("migrate");
-        let path = dir.join("journal");
-        // Hand-write a v1 journal: `add` records, no checksums, plus a
-        // torn final line the migration must drop.
-        let complete = format!(
-            "{JOURNAL_V1_VERSION}\nadd m1|t1|{}\nadd m2|t2|{}\n",
-            encode_entry_fields(&entry("v1 first")),
-            encode_entry_fields(&entry("v1 second")),
-        );
-        let torn = format!("add m3|t3|{}", encode_entry_fields(&entry("torn")));
-        std::fs::write(&path, format!("{complete}{}", &torn[..torn.len() / 2])).unwrap();
-
-        let j = Journal::open(JournalConfig::at(&path)).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.starts_with(&format!("{JOURNAL_FORMAT_VERSION} gen 1\n")),
-            "migrated header: {text}"
-        );
-        assert!(!text.contains("add "), "no v1 records remain: {text}");
-        assert!(!text.contains("m3"), "torn v1 tail dropped: {text}");
-        let store = j.snapshot().unwrap();
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.entries("m1", "t1")[0].note, "v1 first");
-        assert_eq!(store.entries("m2", "t2")[0].note, "v1 second");
-        // Bit-exact through the migration.
-        assert_eq!(
-            store.entries("m1", "t1")[0].micros.to_bits(),
-            (0.1f64 + 0.2).to_bits()
-        );
-
-        // Unknown versions are still rejected, not "migrated".
-        let weird = dir.join("weird");
-        std::fs::write(&weird, "unit-artifact-journal v99\n").unwrap();
-        assert!(matches!(
-            Journal::open(JournalConfig::at(&weird)),
-            Err(ArtifactError::UnsupportedVersion { .. })
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v2_journals_migrate_atomically_on_open_preserving_generation() {
-        // Mirrors `v1_journals_migrate_atomically_on_open` one version
-        // up: a v2 journal (same record grammar, no tier markers) is
-        // rewritten under the v3 header on open. Every record decodes as
-        // a **full-tier** decision — absent tier = full — the
-        // generation survives, and a torn v2 tail is dropped.
-        let dir = temp_dir("migrate-v2");
-        let path = dir.join("journal");
-        let complete = format!(
-            "{JOURNAL_V2_VERSION} gen 7\n{}{}",
-            encode_record(&put("m1", "t1", "v2 first")),
-            encode_record(&put("m2", "t2", "v2 second")),
-        );
-        let torn = encode_record(&put("m3", "t3", "torn"));
-        std::fs::write(&path, format!("{complete}{}", &torn[..torn.len() / 2])).unwrap();
-
-        let j = Journal::open(JournalConfig::at(&path)).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(
-            text.starts_with(&format!("{JOURNAL_FORMAT_VERSION} gen 7\n")),
-            "migrated header keeps the generation: {text}"
-        );
-        assert!(!text.contains(JOURNAL_V2_VERSION), "no v2 header remains");
-        assert!(!text.contains("m3"), "torn v2 tail dropped: {text}");
-        assert_eq!(j.generation().unwrap(), 7);
-        let store = j.snapshot().unwrap();
-        assert_eq!(store.len(), 2);
-        for (model, target, note) in [("m1", "t1", "v2 first"), ("m2", "t2", "v2 second")] {
-            let e = &store.entries(model, target)[0];
-            assert_eq!(e.note, note);
-            assert_eq!(e.tier, TuneTier::Full, "absent tier decodes as full");
-            assert_eq!(e.micros.to_bits(), (0.1f64 + 0.2).to_bits());
+    fn legacy_headers_are_rejected_untouched() {
+        // The pre-release v1 (`add` records, no checksums) and v2 (no
+        // tier markers) journals are not migrated: open rejects them
+        // with a typed error and leaves every byte in place, exactly
+        // like any other unknown header (see the artifact module's
+        // `version_bump_is_rejected_with_a_typed_error`).
+        let dir = temp_dir("legacy");
+        let legacy = [
+            (
+                "v1",
+                format!(
+                    "unit-artifact-journal v1\nadd m1|t1|{}\n",
+                    encode_entry_fields(&entry("v1 record"))
+                ),
+            ),
+            (
+                "v2",
+                format!(
+                    "unit-artifact-journal v2 gen 7\n{}",
+                    encode_record(&put("m1", "t1", "v2 record"))
+                ),
+            ),
+        ];
+        for (tag, bytes) in legacy {
+            let path = dir.join(tag);
+            std::fs::write(&path, &bytes).unwrap();
+            match Journal::open(JournalConfig::at(&path)) {
+                Err(ArtifactError::UnsupportedVersion { found }) => {
+                    assert_eq!(found, bytes.lines().next().unwrap(), "{tag}");
+                }
+                other => panic!("{tag}: expected UnsupportedVersion, got {other:?}"),
+            }
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                bytes,
+                "{tag}: a rejected journal is left untouched"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -5,35 +5,34 @@
 //! latency"; this crate is the runtime that **serves** those compiled
 //! models:
 //!
-//! * [`artifact`] — the persistent compiled-artifact store: per
+//! * [`artifact`] — the in-memory compiled-artifact store: per
 //!   `(model, target)`, every kernel's tuning decision (workload,
-//!   config, search-free replay config, latency, note) in a hand-rolled,
-//!   versioned, line-oriented text format with typed rejection of
-//!   corrupt/truncated/version-bumped files and torn-tail crash
-//!   recovery ([`ArtifactStore::load_recovering`]). A warm start
-//!   replays the store and performs **zero** tuner searches.
+//!   config, search-free replay config, latency, note), plus the
+//!   hand-rolled entry encoding the journal persists it in. A warm
+//!   start replays the store and performs **zero** tuner searches.
 //! * [`engine`] — per-target (sharded) latency + executable-kernel +
 //!   instruction-tape caches, artifact-aware compilation, whole-model
 //!   reports (bit-identical to the graph compiler), and request
-//!   execution through the compiled tape by default
-//!   ([`engine::ExecMode`]; the tree-walk interpreter stays behind the
-//!   knob as the differential oracle — both bit-identical to
-//!   `run_reference`), including fused batched-GEMM dispatch.
+//!   execution through the compiled instruction tape (bit-identical to
+//!   `run_reference`, which stays a test oracle), including fused
+//!   batched-GEMM dispatch.
 //! * [`scheduler`] — bounded admission, dynamic `(model, target)`
 //!   batching, one worker thread per target; order-independent but
 //!   result-deterministic. Workers fuse same-shape GEMM runs within a
 //!   batch into single batched-GEMM tape executions.
-//! * [`journal`] — the fleet-shared, file-locked, append-only artifact
-//!   journal: N replicas on one host append tuning decisions under an
+//! * [`journal`] — the one on-disk format: a file-locked, append-only
+//!   log of checksummed `put`/`retire` lines, one artifact entry per
+//!   `put`. N replicas on one host append tuning decisions under an
 //!   advisory lock and tail each other's appends, so a replica
 //!   warm-starts search-free off decisions another replica just made.
-//!   Atomic compaction with retired-target GC, a max-size policy, and
-//!   a v1→v2 migration.
+//!   A torn final line (a crashed append) is dropped and healed; atomic
+//!   compaction with retired-target GC and a max-size policy; unknown
+//!   headers are rejected with a typed error.
 //! * [`net`] — the hand-rolled HTTP/1.1 front-end over std
 //!   `TcpListener`: `POST /v1/execute` bridges onto the scheduler's
 //!   bounded queue (queue-full → 429, per-request failure → 500, body
 //!   and header limits, read/write timeouts), `GET /metrics` serves the
-//!   stable metrics rendering.
+//!   Prometheus text exposition.
 //! * [`retune`] — tiered cold starts: a tiered engine serves a novel
 //!   workload immediately from a cheap search-capped compile
 //!   (`TuneTier::Cold`), then a bounded, hottest-first background queue
@@ -45,8 +44,8 @@
 //! * [`metrics`] — counters, queue-depth gauges, artifact/kernel cache
 //!   hit rates, re-tune/swap counters, epilogue-fusion counters, a
 //!   per-`(model, target)` hot-pair table and fixed-bucket latency
-//!   histograms (request latency plus tier-split cold-start latency)
-//!   with a stable text rendering.
+//!   histograms (request latency plus tier-split cold-start latency),
+//!   rendered as Prometheus text exposition.
 //! * [`trace`] — request-scoped tracing: every request gets a trace id
 //!   at admission; stages append timestamped spans (admission → queue →
 //!   batch → cache lookup → tape dispatch → epilogue → reply; compile
@@ -104,10 +103,8 @@ pub mod retune;
 pub mod scheduler;
 pub mod trace;
 
-pub use artifact::{
-    ArtifactEntry, ArtifactError, ArtifactStore, TailRecovery, ARTIFACT_FORMAT_VERSION,
-};
-pub use engine::{reference_report, ExecMode, ExecOutcome, ModelOutcome, ServeEngine, ServeError};
+pub use artifact::{ArtifactEntry, ArtifactError, ArtifactStore};
+pub use engine::{reference_report, ExecOutcome, ModelOutcome, ServeEngine, ServeError};
 pub use journal::{Journal, JournalConfig, JournalRecord, JOURNAL_FORMAT_VERSION};
 pub use metrics::{LatencyHistogram, ServeMetrics, HOT_PAIR_CAPACITY, LATENCY_BUCKETS_US};
 pub use model::{model_graph, Compact};

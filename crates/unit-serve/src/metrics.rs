@@ -1,6 +1,8 @@
 //! Serving metrics: counters, gauges and a fixed-bucket latency
-//! histogram with a **stable text rendering** so tests (and scrapers) can
-//! assert on the exact output.
+//! histogram, rendered as deterministic **Prometheus text exposition**
+//! ([`ServeMetrics::render_prometheus`]) so tests (and scrapers) can
+//! assert on the exact output. Tests read single values through the
+//! typed accessors.
 //!
 //! Everything is lock-free atomics — the scheduler's worker threads
 //! record into one shared registry without contending on a mutex — with
@@ -567,144 +569,10 @@ impl ServeMetrics {
         self.completed() as f64 / secs
     }
 
-    /// The stable text rendering: one `key value` pair per line, fixed
-    /// key set and order, fixed number formatting. Tests assert on this
-    /// exact shape, so treat any change as a format break.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        let q = |p: f64| match self.latency.quantile(p) {
-            None => "none".to_string(),
-            Some(u64::MAX) => format!(">{}", LATENCY_BUCKETS_US[LATENCY_BUCKETS_US.len() - 1]),
-            Some(v) => v.to_string(),
-        };
-        let batches = load(&self.batches);
-        let mean_batch = if batches == 0 {
-            0.0
-        } else {
-            load(&self.batched_requests) as f64 / batches as f64
-        };
-        let hist_q = |h: &LatencyHistogram, p: f64| match h.quantile(p) {
-            None => "none".to_string(),
-            Some(u64::MAX) => format!(">{}", LATENCY_BUCKETS_US[LATENCY_BUCKETS_US.len() - 1]),
-            Some(v) => v.to_string(),
-        };
-        let hot_pairs = lock_recovering(&self.hot_pairs).len();
-        let mut out = String::from("# unit-serve metrics v6\n");
-        let mut line = |k: &str, v: String| {
-            out.push_str(k);
-            out.push(' ');
-            out.push_str(&v);
-            out.push('\n');
-        };
-        line("requests_submitted", load(&self.submitted).to_string());
-        line("requests_rejected", load(&self.rejected).to_string());
-        line("requests_completed", load(&self.completed).to_string());
-        line("requests_failed", load(&self.failed).to_string());
-        line("batches_executed", batches.to_string());
-        line("batch_size_mean", format!("{mean_batch:.2}"));
-        line("queue_depth", load(&self.queue_depth).to_string());
-        line("queue_depth_peak", load(&self.queue_depth_peak).to_string());
-        line("latency_p50_us", q(0.50));
-        line("latency_p95_us", q(0.95));
-        line("latency_p99_us", q(0.99));
-        line("queue_wait_p50_us", hist_q(&self.queue_wait, 0.50));
-        line("queue_wait_p95_us", hist_q(&self.queue_wait, 0.95));
-        line("queue_wait_p99_us", hist_q(&self.queue_wait, 0.99));
-        line("service_p50_us", hist_q(&self.service, 0.50));
-        line("service_p95_us", hist_q(&self.service, 0.95));
-        line("service_p99_us", hist_q(&self.service, 0.99));
-        line("artifact_hits", load(&self.artifact_hits).to_string());
-        line("artifact_misses", load(&self.artifact_misses).to_string());
-        line(
-            "artifact_hit_rate",
-            format!("{:.3}", self.artifact_hit_rate()),
-        );
-        line("kernel_cache_hits", load(&self.kernel_hits).to_string());
-        line("kernel_cache_misses", load(&self.kernel_misses).to_string());
-        line(
-            "kernel_cache_hit_rate",
-            format!("{:.3}", self.kernel_hit_rate()),
-        );
-        line("tuner_searches", load(&self.tuner_searches).to_string());
-        line("tape_compiles", load(&self.tape_compiles).to_string());
-        line("tape_dispatches", load(&self.tape_dispatches).to_string());
-        line(
-            "tape_fused_requests",
-            load(&self.tape_fused_requests).to_string(),
-        );
-        line("tape_ops_retired", load(&self.tape_ops_retired).to_string());
-        line(
-            "tape_guard_checks",
-            load(&self.tape_guard_checks).to_string(),
-        );
-        line(
-            "tape_intrin_dispatches",
-            load(&self.tape_intrin_dispatches).to_string(),
-        );
-        line(
-            "epilogue_fused_kernels",
-            load(&self.epilogue_fused_kernels).to_string(),
-        );
-        line(
-            "epilogue_ops_eliminated",
-            load(&self.epilogue_ops_eliminated).to_string(),
-        );
-        line("dispatcher_wakes", load(&self.dispatcher_wakes).to_string());
-        line("journal_appends", load(&self.journal_appends).to_string());
-        line(
-            "journal_tailed_records",
-            load(&self.journal_tailed_records).to_string(),
-        );
-        line(
-            "journal_compactions",
-            load(&self.journal_compactions).to_string(),
-        );
-        line("journal_errors", load(&self.journal_errors).to_string());
-        line("http_requests", load(&self.http_requests).to_string());
-        line("http_errors", load(&self.http_errors).to_string());
-        line("retune_queued", load(&self.retune_queued).to_string());
-        line("retune_completed", load(&self.retune_completed).to_string());
-        line("retune_swaps", load(&self.retune_swaps).to_string());
-        line(
-            "cold_start_cold_tier_compiles",
-            self.cold_start_cold.count().to_string(),
-        );
-        line(
-            "cold_start_cold_tier_p50_us",
-            hist_q(&self.cold_start_cold, 0.50),
-        );
-        line(
-            "cold_start_cold_tier_p95_us",
-            hist_q(&self.cold_start_cold, 0.95),
-        );
-        line(
-            "cold_start_full_tier_compiles",
-            self.cold_start_full.count().to_string(),
-        );
-        line(
-            "cold_start_full_tier_p50_us",
-            hist_q(&self.cold_start_full, 0.50),
-        );
-        line(
-            "cold_start_full_tier_p95_us",
-            hist_q(&self.cold_start_full, 0.95),
-        );
-        line("hot_pairs_tracked", hot_pairs.to_string());
-        line(
-            "hot_pairs_evicted",
-            load(&self.hot_pairs_evicted).to_string(),
-        );
-        line("traces_recorded", load(&self.traces_recorded).to_string());
-        line("trace_dropped", load(&self.trace_dropped).to_string());
-        out
-    }
-
-    /// Prometheus text exposition (`GET /metrics?format=prometheus`):
-    /// the same registry as [`ServeMetrics::render`] in the standard
-    /// `# TYPE` / `_bucket{le=...}` / `_sum` / `_count` shape, all
-    /// metric names under the `unit_serve_` namespace. Like `render`,
-    /// the output is deterministic for a given set of recorded values.
+    /// Prometheus text exposition (`GET /metrics`): the whole registry
+    /// in the standard `# TYPE` / `_bucket{le=...}` / `_sum` / `_count`
+    /// shape, all metric names under the `unit_serve_` namespace. The
+    /// output is deterministic for a given set of recorded values.
     #[must_use]
     pub fn render_prometheus(&self) -> String {
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
@@ -851,11 +719,16 @@ mod tests {
         for p in [0.0, 0.01, 0.5, 0.99, 1.0] {
             assert_eq!(h.quantile(p), Some(u64::MAX), "p={p}");
         }
-        // The saturation renders as `>bound`, not a fake number.
+        // The saturation renders into the `+Inf` bucket only, not a
+        // fake finite bound.
         let m = ServeMetrics::new();
         m.record_submit();
         m.record_completion(Duration::ZERO, Duration::from_secs(5), true);
-        assert!(m.render().contains(&format!("latency_p50_us >{top}\n")));
+        let text = m.render_prometheus();
+        assert!(text.contains(&format!(
+            "unit_serve_request_latency_us_bucket{{le=\"{top}\"}} 0\n"
+        )));
+        assert!(text.contains("unit_serve_request_latency_us_bucket{le=\"+Inf\"} 1\n"));
     }
 
     #[test]
@@ -915,63 +788,67 @@ mod tests {
         m.record_request_pair("convnet", "cpu");
         m.record_request_pair("convnet", "cpu");
         m.record_request_pair("attention", "cpu");
-        let expected = "\
-# unit-serve metrics v6
-requests_submitted 2
-requests_rejected 0
-requests_completed 2
-requests_failed 0
-batches_executed 1
-batch_size_mean 2.00
-queue_depth 0
-queue_depth_peak 2
-latency_p50_us 50
-latency_p95_us 100
-latency_p99_us 100
-queue_wait_p50_us 10
-queue_wait_p95_us 50
-queue_wait_p99_us 50
-service_p50_us 50
-service_p95_us 50
-service_p99_us 50
-artifact_hits 0
-artifact_misses 1
-artifact_hit_rate 0.000
-kernel_cache_hits 1
-kernel_cache_misses 1
-kernel_cache_hit_rate 0.500
-tuner_searches 1
-tape_compiles 1
-tape_dispatches 2
-tape_fused_requests 2
-tape_ops_retired 150
-tape_guard_checks 6
-tape_intrin_dispatches 8
-epilogue_fused_kernels 2
-epilogue_ops_eliminated 5
-dispatcher_wakes 1
-journal_appends 1
-journal_tailed_records 3
-journal_compactions 1
-journal_errors 0
-http_requests 2
-http_errors 1
-retune_queued 2
-retune_completed 1
-retune_swaps 1
-cold_start_cold_tier_compiles 1
-cold_start_cold_tier_p50_us 50
-cold_start_cold_tier_p95_us 50
-cold_start_full_tier_compiles 1
-cold_start_full_tier_p50_us 1000
-cold_start_full_tier_p95_us 1000
-hot_pairs_tracked 2
-hot_pairs_evicted 0
-traces_recorded 2
-trace_dropped 1
-";
-        assert_eq!(m.render(), expected);
-        assert_eq!(m.render(), expected, "rendering twice is identical");
+        let text = m.render_prometheus();
+        assert_eq!(m.render_prometheus(), text, "rendering twice is identical");
+        // Every recorded value lands on its own series.
+        for (name, value) in [
+            ("requests_submitted", 2),
+            ("requests_rejected", 0),
+            ("requests_completed", 2),
+            ("requests_failed", 0),
+            ("batches_executed", 1),
+            ("batched_requests", 2),
+            ("artifact_hits", 0),
+            ("artifact_misses", 1),
+            ("kernel_cache_hits", 1),
+            ("kernel_cache_misses", 1),
+            ("tuner_searches", 1),
+            ("tape_compiles", 1),
+            ("tape_dispatches", 2),
+            ("tape_fused_requests", 2),
+            ("tape_ops_retired", 150),
+            ("tape_guard_checks", 6),
+            ("tape_intrin_dispatches", 8),
+            ("epilogue_fused_kernels", 2),
+            ("epilogue_ops_eliminated", 5),
+            ("dispatcher_wakes", 1),
+            ("journal_appends", 1),
+            ("journal_tailed_records", 3),
+            ("journal_compactions", 1),
+            ("journal_errors", 0),
+            ("http_requests", 2),
+            ("http_errors", 1),
+            ("retune_queued", 2),
+            ("retune_completed", 1),
+            ("retune_swaps", 1),
+            ("traces_recorded", 2),
+            ("trace_dropped", 1),
+            ("hot_pairs_evicted", 0),
+            ("queue_depth", 0),
+            ("queue_depth_peak", 2),
+            ("hot_pairs_tracked", 2),
+            ("request_latency_us_count", 2),
+            ("request_latency_us_sum", 130),
+            ("queue_wait_us_sum", 50),
+            ("service_us_sum", 80),
+            ("cold_start_cold_tier_us_count", 1),
+            ("cold_start_full_tier_us_count", 1),
+        ] {
+            let line = format!("\nunit_serve_{name} {value}\n");
+            assert!(
+                text.contains(&line),
+                "missing `{}` in:\n{text}",
+                line.trim()
+            );
+        }
+        // Bucket placement: the 900 us full-tier cold start is in the
+        // 1000 us bucket and not below it.
+        assert!(text.contains("unit_serve_cold_start_full_tier_us_bucket{le=\"500\"} 0\n"));
+        assert!(text.contains("unit_serve_cold_start_full_tier_us_bucket{le=\"1000\"} 1\n"));
+        // The derived rates agree with the raw counters.
+        assert!((m.kernel_hit_rate() - 0.5).abs() < f64::EPSILON);
+        assert!(m.artifact_hit_rate().abs() < f64::EPSILON);
+        assert_eq!(m.latency().quantile(0.5), Some(50));
     }
 
     #[test]
@@ -1009,8 +886,11 @@ trace_dropped 1
         );
         // Evict-coldest: the hot pair survives the flood of count-1 ids.
         assert_eq!(m.hot_pair_requests("hot-model", "cpu"), 50);
-        let render = m.render();
-        assert!(render.contains(&format!("hot_pairs_evicted {}\n", m.hot_pairs_evicted())));
+        let render = m.render_prometheus();
+        assert!(render.contains(&format!(
+            "unit_serve_hot_pairs_evicted {}\n",
+            m.hot_pairs_evicted()
+        )));
     }
 
     #[test]

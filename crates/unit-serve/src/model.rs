@@ -22,8 +22,18 @@
 //! Serving value domain: tokens are `0..=127`, weights `-63..=63`, and
 //! every step's epilogue chain ends in a saturating op, so activations
 //! stay within `-127..=127` and accumulators below `2^21` — exact in
-//! `i32` and `f32` alike, which is what keeps the fixed-point epilogue
-//! semantics bit-identical across all registered targets' dtypes.
+//! `i32` and `f32` alike, so the fixed-point epilogue semantics hold
+//! exactly on every registered target's accumulator dtype.
+//!
+//! What is guaranteed: a model's output is bit-identical **per target**
+//! across fused and unfused serving, tuning tiers and replicas. It is
+//! *not* identical across targets. GEMM operands are stored into each
+//! target's data/weight dtypes with saturation, and on u8-data targets
+//! (x86 VNNI) negative activations clamp to the zero point, so their
+//! outputs differ from the i8 and f16 targets'. The expected output is
+//! a function of the token seed and the target's two operand dtypes
+//! only; `tests/epilogue_fusion.rs` checks it against a scalar forward
+//! pass that saturates operands the same way.
 
 use unit_dsl::DType;
 use unit_graph::{ModelPlan, PlanSource, PlanStep};
@@ -256,8 +266,8 @@ pub fn weight_from_activation(
 /// Encode one logical value into a kernel buffer cell, clamped to the
 /// dtype's representable range. The serving convention is
 /// unsigned-asymmetric on u8 targets: negative activations saturate to
-/// the zero point. Deterministic, so both executors and both serving
-/// modes see identical operands.
+/// the zero point. Deterministic, so both serving modes (fused and
+/// unfused) see identical operands.
 fn store(buf: &mut TypedBuf, at: usize, v: i64) {
     let s = match buf.dtype {
         DType::I8 => Scalar::Int(v.clamp(-128, 127)),

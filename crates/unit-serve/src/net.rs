@@ -71,10 +71,9 @@
 //!   kernels plus the reference epilogue — the differential baseline;
 //!   its `data` payload is bit-identical to the fused one.
 //!
-//! * `GET /metrics` — the stable [`crate::ServeMetrics::render`] text;
-//!   `GET /metrics?format=prometheus` serves the same registry in
-//!   Prometheus exposition format
-//!   ([`crate::ServeMetrics::render_prometheus`]).
+//! * `GET /metrics` — the registry in Prometheus exposition format
+//!   ([`crate::ServeMetrics::render_prometheus`]); `?format=prometheus`
+//!   is accepted and names the same body, any other query is a `400`.
 //! * `GET /v1/trace/<id>` — one request's span timeline (text), when
 //!   tracing is enabled and the trace is still in the ring or retained
 //!   as a slow-request exemplar.
@@ -438,14 +437,13 @@ fn route(
 ) -> HttpFailure {
     match (head.method.as_str(), head.path.as_str()) {
         ("GET", "/metrics") => match head.query.as_deref() {
-            None | Some("" | "format=text") => (200, "OK", scheduler.engine().metrics().render()),
-            Some("format=prometheus") => {
+            None | Some("" | "format=prometheus") => {
                 (200, "OK", scheduler.engine().metrics().render_prometheus())
             }
             Some(other) => (
                 400,
                 "Bad Request",
-                format!("unknown metrics query `{other}` (format=text|prometheus)\n"),
+                format!("unknown metrics query `{other}` (format=prometheus)\n"),
             ),
         },
         ("GET", "/v1/traces") => match head.query.as_deref() {

@@ -1,29 +1,31 @@
-//! ArtifactStore round-trip through a real engine and the real
-//! filesystem: save → load in a fresh engine → 100% artifact hit rate,
-//! with corrupt/truncated/version-bumped files rejected by typed errors
-//! at the `load` entry point (the unit suite covers `decode`-level
-//! corruption exhaustively; here the same rejections are exercised
-//! through on-disk files, plus graceful handling of partial stores and
-//! stores naming unserved targets).
+//! ArtifactStore persistence through a real engine and the real
+//! filesystem: export → journal → attach in a fresh engine → 100%
+//! artifact hit rate, with version-bumped/truncated/corrupt journals
+//! rejected by typed errors at the attach entry point, torn tails
+//! recovered at every byte offset, plus graceful handling of partial
+//! stores and stores naming unserved targets.
 //!
-//! Counter-based *zero-search* assertions live in
+//! Counter-based *zero-search* assertions at the tuner itself live in
 //! `tests/warm_start_zero_search.rs` (their process-global counters need
-//! a dedicated binary); this suite asserts hit rates through the
-//! engine's own metrics, which are per-engine and race-free across
-//! tests.
+//! a dedicated binary); this suite asserts through the engine's own
+//! metrics, which are per-engine and race-free across tests.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 use unit_core::pipeline::TuningConfig;
-use unit_core::tuner::{CpuTuneMode, GpuTuneMode};
+use unit_core::tuner::{CpuTuneMode, GpuTuneMode, TuneTier};
 use unit_graph::models::transformer_tiny;
-use unit_serve::{ArtifactError, ArtifactStore, ServeEngine, TailRecovery};
+use unit_graph::OpSpec;
+use unit_serve::journal::store_records;
+use unit_serve::{ArtifactError, ArtifactStore, Journal, JournalConfig, ServeEngine};
 
-fn tmp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "unit-serve-artifact-{tag}-{}.store",
-        std::process::id()
-    ))
+/// A fresh per-test directory holding one journal path.
+fn journal_path(tag: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("unit-serve-artifact-{tag}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir.join("journal")
 }
 
 fn tuning() -> TuningConfig {
@@ -33,20 +35,47 @@ fn tuning() -> TuningConfig {
     }
 }
 
+/// Persist `store` as a journal at `path`.
+fn save(store: &ArtifactStore, path: &Path) {
+    Journal::open(JournalConfig::at(path))
+        .unwrap()
+        .append(&store_records(store))
+        .unwrap();
+}
+
+/// Attach the journal at `path` to `engine`.
+fn attach(engine: &ServeEngine, path: &Path) -> Result<usize, ArtifactError> {
+    engine.attach_journal(Arc::new(Journal::open(JournalConfig::at(path))?))
+}
+
+/// No cold compile ran on `engine` — every compile lookup was a cache
+/// hit or an artifact replay, never an artifact miss.
+fn assert_no_artifact_misses(engine: &ServeEngine, ctx: &str) {
+    for tier in [TuneTier::Cold, TuneTier::Full] {
+        assert_eq!(
+            engine.metrics().cold_start(tier).count(),
+            0,
+            "{ctx}: {}",
+            engine.metrics().render_prometheus()
+        );
+    }
+    assert_eq!(engine.metrics().tuner_searches(), 0, "{ctx}");
+}
+
 #[test]
 fn save_load_round_trip_reaches_full_artifact_hit_rate() {
     let graph = transformer_tiny();
     let cold = ServeEngine::new(tuning());
     let cold_report = cold.compile_model(&graph, "x86-avx512-vnni").unwrap();
-    let path = tmp_path("roundtrip");
-    cold.export_artifacts().save(&path).unwrap();
+    let path = journal_path("roundtrip");
+    let exported = cold.export_artifacts();
+    save(&exported, &path);
 
     let warm = ServeEngine::new(tuning());
-    let loaded = ArtifactStore::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert!(!loaded.is_empty());
-    let restored = warm.import_artifacts(loaded);
+    let restored = attach(&warm, &path).unwrap();
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
     assert!(restored > 0);
+    assert_eq!(warm.export_artifacts().len(), exported.len());
 
     let warm_report = warm.compile_model(&graph, "x86-avx512-vnni").unwrap();
     assert_eq!(warm_report.total_ms, cold_report.total_ms);
@@ -55,11 +84,8 @@ fn save_load_round_trip_reaches_full_artifact_hit_rate() {
         assert_eq!(w.note, c.note, "layer {}", w.name);
     }
     // Every compile lookup was answered by the store: the report path
-    // is pure cache hits (no artifact consults at all), so the metrics
-    // must show zero artifact misses and zero engine-level searches.
-    let rendered = warm.metrics().render();
-    assert!(rendered.contains("artifact_misses 0"), "{rendered}");
-    assert!(rendered.contains("tuner_searches 0"), "{rendered}");
+    // is pure cache hits, so no artifact misses and no searches.
+    assert_no_artifact_misses(&warm, "warm compile");
 }
 
 #[test]
@@ -92,10 +118,10 @@ fn partial_store_warms_partially_and_backfills() {
         refilled.entries(&graph.name, "arm-neon-dot").len(),
         entries.len()
     );
-    let rendered = warm.metrics().render();
     assert!(
         warm.metrics().tuner_searches() > 0,
-        "the missing half must have searched: {rendered}"
+        "the missing half must have searched: {}",
+        warm.metrics().render_prometheus()
     );
 }
 
@@ -121,76 +147,87 @@ fn load_rejects_bad_files_with_typed_errors() {
     let _ = cold
         .compile_model(&transformer_tiny(), "x86-avx512-vnni")
         .unwrap();
-    let good = cold.export_artifacts().encode();
+    let path = journal_path("reject");
+    save(&cold.export_artifacts(), &path);
+    let good = std::fs::read_to_string(&path).unwrap();
+    let engine = ServeEngine::new(tuning());
+    let attach_text = |text: &str| {
+        std::fs::write(&path, text).unwrap();
+        attach(&engine, &path)
+    };
 
     // Version bump.
-    let path = tmp_path("version");
-    std::fs::write(&path, good.replace("v1", "v9")).unwrap();
     assert!(matches!(
-        ArtifactStore::load(&path),
+        attach_text(&good.replacen(" v3 ", " v9 ", 1)),
         Err(ArtifactError::UnsupportedVersion { .. })
     ));
-
-    // Truncation: cut the file mid-body.
-    std::fs::write(&path, &good[..good.len() / 2]).unwrap();
-    let err = ArtifactStore::load(&path).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            ArtifactError::Truncated { .. } | ArtifactError::Corrupt { .. }
-        ),
-        "got {err:?}"
-    );
-
-    // Corruption: flip one byte inside the body (a note character).
+    // Truncation: the header line itself is cut.
+    assert!(matches!(
+        attach_text(&good[..10]),
+        Err(ArtifactError::Truncated { .. })
+    ));
+    // Corruption: flip one byte inside a complete record (a note
+    // character); the record's checksum catches it.
     let tampered = good.replacen("vpdpbusd", "vpdpbusq", 1);
     assert_ne!(tampered, good);
-    std::fs::write(&path, tampered).unwrap();
     assert!(matches!(
-        ArtifactStore::load(&path),
-        Err(ArtifactError::ChecksumMismatch { .. })
+        attach_text(&tampered),
+        Err(ArtifactError::Corrupt { .. })
     ));
-
-    // Missing file is an Io error, not a panic.
-    std::fs::remove_file(&path).ok();
-    assert!(matches!(
-        ArtifactStore::load(&path),
-        Err(ArtifactError::Io(_))
-    ));
+    // A journal under a missing directory is an Io error, not a panic.
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    assert!(matches!(attach(&engine, &path), Err(ArtifactError::Io(_))));
+    // Nothing was imported by any rejected attach.
+    assert!(engine.export_artifacts().is_empty());
 }
 
 #[test]
 fn torn_on_disk_store_recovers_and_warms_the_engine() {
+    // A crash mid-append leaves a torn final line. Populate a journal
+    // through an attached engine — the model's decisions first, then one
+    // unrelated request's decision as the final `put` — and cut it at
+    // every byte offset inside that final line.
     let graph = transformer_tiny();
+    let target = "x86-avx512-vnni";
+    let path = journal_path("torn");
     let cold = ServeEngine::new(tuning());
-    let cold_report = cold.compile_model(&graph, "x86-avx512-vnni").unwrap();
+    attach(&cold, &path).unwrap();
+    let cold_report = cold.compile_model(&graph, target).unwrap();
+    cold.execute("late-request", target, OpSpec::gemm(8, 8, 24), 1)
+        .unwrap();
     let full = cold.export_artifacts();
-    let encoded = full.encode();
-
-    // Simulate a crash mid-append: tear the file in the middle of its
-    // final kernel line (no trailer, half a record).
-    let final_record = encoded.rfind("\nkernel ").unwrap() + 1;
-    let torn = &encoded[..final_record + "kernel ".len() + 3];
-    let path = tmp_path("torn");
-    std::fs::write(&path, torn).unwrap();
-
-    // The strict loader still rejects the file whole...
-    assert!(ArtifactStore::load(&path).is_err());
-    // ...but the recovering loader keeps every completed entry.
-    let (recovered, how) = ArtifactStore::load_recovering(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert!(matches!(how, TailRecovery::Recovered { .. }));
-    assert_eq!(recovered.len(), full.len() - 1);
-
-    // The recovered store warms a fresh engine: only the torn entry
-    // (at most one kernel) needs a cold search.
-    let warm = ServeEngine::new(tuning());
-    assert!(warm.import_artifacts(recovered) > 0);
-    let warm_report = warm.compile_model(&graph, "x86-avx512-vnni").unwrap();
-    assert_eq!(warm_report.total_ms, cold_report.total_ms);
+    let text = std::fs::read_to_string(&path).unwrap();
+    let final_line = text[..text.len() - 1].rfind('\n').unwrap() + 1;
     assert!(
-        warm.metrics().tuner_searches() <= 1,
-        "at most the torn entry re-searches: {}",
-        warm.metrics().render()
+        text[final_line..].contains(" late-request|"),
+        "the final put is the late request's: {}",
+        &text[final_line..]
     );
+    let earlier = full.len() - 1;
+
+    for cut in final_line..text.len() {
+        let ctx = format!("cut at byte {cut}");
+        std::fs::write(&path, &text[..cut]).unwrap();
+        let warm = ServeEngine::new(tuning());
+        // Every earlier entry is restored; the torn one is dropped.
+        let restored = attach(&warm, &path).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+        assert_eq!(restored, earlier, "{ctx}");
+        let recovered = warm.export_artifacts();
+        assert_eq!(recovered.len(), earlier, "{ctx}");
+        assert!(
+            recovered.entries("late-request", target).is_empty(),
+            "{ctx}"
+        );
+        for e in recovered.entries(&graph.name, target) {
+            let orig = full
+                .lookup(&graph.name, target, &e.workload, e.tuning)
+                .unwrap_or_else(|| panic!("{ctx}: recovered entry not in the original"));
+            assert_eq!(e, orig, "{ctx}");
+        }
+        // The recovered journal warms the model with zero searches.
+        let warm_report = warm.compile_model(&graph, target).unwrap();
+        assert_eq!(warm_report.total_ms, cold_report.total_ms, "{ctx}");
+        assert_no_artifact_misses(&warm, &ctx);
+    }
+    std::fs::remove_dir_all(path.parent().unwrap()).ok();
 }

@@ -6,8 +6,10 @@
 //! the compiled tape. On **every registered target** the fused tape run
 //! must be bit-identical to
 //!
-//! * the tree-walk interpreter oracle serving the same fused plan
-//!   (`ExecMode::Interp`), and
+//! * a scalar forward pass written in this file that shares no code with
+//!   the engine's execution path (a plain `i64` GEMM over operands
+//!   saturated to the target's data/weight dtypes, then the compact
+//!   reference epilogue), and
 //! * the unfused baseline (plain GEMM kernels + the compact-domain
 //!   reference epilogue).
 //!
@@ -18,12 +20,14 @@
 
 use unit_core::pipeline::{Target, TuningConfig};
 use unit_core::tuner::{CpuTuneMode, GpuTuneMode};
+use unit_dsl::DType;
 use unit_graph::compile::UnitProvider;
 use unit_graph::models::{transformer_micro, transformer_tiny};
-use unit_graph::{CacheWorkload, Graph, OpSpec};
+use unit_graph::{build_plan, CacheWorkload, Graph, OpSpec, PlanSource};
 use unit_interp::{alloc_buffers, random_fill, run, Tape};
 use unit_isa::registry;
-use unit_serve::{ExecMode, ServeEngine};
+use unit_serve::model::{self, Compact};
+use unit_serve::ServeEngine;
 use unit_tir::{EpiOp, EpilogueSpec};
 
 fn tuning() -> TuningConfig {
@@ -34,9 +38,9 @@ fn tuning() -> TuningConfig {
 }
 
 /// The encoder under test plus its expected output dims. The full
-/// transformer-tiny forward interprets ~1.6M MACs per pass through the
-/// tree-walk oracle, which optimized builds serve in seconds but the
-/// dev profile grinds at for minutes per target — so `cargo test -q`
+/// transformer-tiny forward emulates ~1.6M MACs per pass, which
+/// optimized builds serve in seconds but the dev profile grinds at for
+/// minutes per target — so `cargo test -q`
 /// runs a structurally identical reduced encoder (same 8 fused steps,
 /// same epilogue chains, same 6-unique-kernel dedup; only the extents
 /// shrink), and the full model runs under `cargo test --release`
@@ -47,6 +51,72 @@ fn serving_graph() -> (Graph, i64, i64) {
     } else {
         (transformer_tiny(), 64, 128)
     }
+}
+
+/// `v` saturated to the range of `dtype` — the serving convention for
+/// GEMM operands (u8 targets clamp negative activations to zero; float
+/// dtypes hold every serving value exactly).
+fn saturate(v: i64, dtype: DType) -> i64 {
+    match dtype {
+        DType::I8 => v.clamp(-128, 127),
+        DType::U8 => v.clamp(0, 255),
+        DType::I16 => v.clamp(-32768, 32767),
+        DType::U16 => v.clamp(0, 65535),
+        _ => v,
+    }
+}
+
+/// The scalar oracle: `graph`'s forward pass for token seed `seed` on
+/// target `id`, by a plain `i64` GEMM per plan step over operands
+/// saturated to the target's data/weight dtypes, followed by
+/// [`model::apply_epilogue_reference`]. No kernel, layout or tape code
+/// is involved, so the expected output depends only on the seed and
+/// the target's operand dtypes.
+fn scalar_forward(graph: &Graph, id: &str, seed: u64) -> Compact {
+    let (_, _, data_dtype, weight_dtype) = registry::target_by_id(id)
+        .expect("registered target")
+        .blocking();
+    let plan = build_plan(graph).expect("graph plans");
+    let (rows, cols) = model::plan_input_dims(graph).expect("token input");
+    let tokens = model::input_tokens(seed, rows, cols);
+    let mut outputs: Vec<Compact> = Vec::with_capacity(plan.steps.len());
+    for step in &plan.steps {
+        let OpSpec::Gemm { m, n, k, batch } = step.op else {
+            panic!("step {} is not a GEMM", step.name);
+        };
+        let source = |s: PlanSource| match s {
+            PlanSource::Input => &tokens,
+            PlanSource::Step(i) => &outputs[i],
+        };
+        let data = model::gather_data(source(step.data), batch, m, k).expect("data adapts");
+        let weight = match step.weight {
+            None => model::implicit_weight(&graph.name, &step.name, batch, n, k),
+            Some(src) => {
+                model::weight_from_activation(source(src), batch, n, k, step.weight_rows_are_n)
+                    .expect("weight adapts")
+            }
+        };
+        let mut out = Compact::zeros(batch, m, n);
+        for b in 0..batch {
+            for i in 0..m {
+                for j in 0..n {
+                    let acc: i64 = (0..k)
+                        .map(|kk| {
+                            saturate(data.get(b, i, kk), data_dtype)
+                                * saturate(weight.get(b, j, kk), weight_dtype)
+                        })
+                        .sum();
+                    out.set(b, i, j, acc);
+                }
+            }
+        }
+        let bias = model::implicit_bias(&graph.name, &step.name, n);
+        let residuals = model::resolve_residuals(step, &tokens, &outputs).expect("residuals");
+        model::apply_epilogue_reference(&mut out, &step.epi, &bias, &residuals)
+            .expect("epilogue applies");
+        outputs.push(out);
+    }
+    outputs.swap_remove(plan.output)
 }
 
 fn target_ids() -> Vec<String> {
@@ -63,8 +133,6 @@ fn transformer_serves_fused_bit_identical_to_oracle_on_every_target() {
     let (graph, rows, cols) = serving_graph();
     for id in target_ids() {
         let engine = ServeEngine::new(tuning());
-        let oracle = ServeEngine::new(tuning()).with_exec_mode(ExecMode::Interp);
-        assert_eq!(engine.exec_mode(), ExecMode::Tape, "tape is the default");
 
         let fused = engine
             .execute_model(&graph, &id, 42, true)
@@ -83,19 +151,11 @@ fn transformer_serves_fused_bit_identical_to_oracle_on_every_target() {
         // reference-interpreter passes on the serve path.
         assert_eq!(engine.metrics().tape_dispatches(), 8, "{id}");
 
-        // Differential 1: the tree-walk oracle serving the same fused
-        // plan agrees bit-for-bit.
-        let interp = oracle
-            .execute_model(&graph, &id, 42, true)
-            .unwrap_or_else(|e| panic!("oracle serve failed on {id}: {e}"));
+        // Differential 1: the scalar forward pass agrees bit-for-bit.
         assert_eq!(
-            fused.output, interp.output,
-            "{id}: fused tape diverged from the tree-walk oracle"
-        );
-        assert_eq!(
-            oracle.metrics().tape_dispatches(),
-            0,
-            "{id}: oracle never tapes"
+            fused.output,
+            scalar_forward(&graph, &id, 42),
+            "{id}: fused tape diverged from the scalar oracle"
         );
 
         // Differential 2: the unfused baseline (plain GEMMs + reference
@@ -119,9 +179,12 @@ fn transformer_serves_fused_bit_identical_to_oracle_on_every_target() {
         assert_eq!(fused.output, again.output, "{id}: replay diverged");
         // The three-way agreement must hold at any seed, not just one.
         let fused2 = engine.execute_model(&graph, &id, 43, true).unwrap();
-        let interp2 = oracle.execute_model(&graph, &id, 43, true).unwrap();
         let unfused2 = engine.execute_model(&graph, &id, 43, false).unwrap();
-        assert_eq!(fused2.output, interp2.output, "{id}: seed 43 vs oracle");
+        assert_eq!(
+            fused2.output,
+            scalar_forward(&graph, &id, 43),
+            "{id}: seed 43 vs oracle"
+        );
         assert_eq!(fused2.output, unfused2.output, "{id}: seed 43 vs unfused");
     }
 }

@@ -84,10 +84,19 @@ fn execute_over_http_is_bit_identical_to_run_reference() {
     let (status, metrics) = http_request(addr, "GET", "/metrics", "", TIMEOUT).expect("metrics");
     assert_eq!(status, 200);
     assert!(
-        metrics.starts_with("# unit-serve metrics v6\n"),
+        metrics.starts_with("# TYPE unit_serve_requests_submitted counter\n"),
         "{metrics}"
     );
-    assert!(metrics.contains("http_requests "), "{metrics}");
+    assert!(metrics.contains("\nunit_serve_http_requests "), "{metrics}");
+    let (status, named) =
+        http_request(addr, "GET", "/metrics?format=prometheus", "", TIMEOUT).expect("metrics");
+    assert_eq!(status, 200);
+    assert!(named.starts_with("# TYPE unit_serve_requests_submitted counter\n"));
+    // Any other query is a typed 400.
+    let (status, body) =
+        http_request(addr, "GET", "/metrics?format=text", "", TIMEOUT).expect("metrics");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("unknown metrics query"), "{body}");
     let (status, health) = http_request(addr, "GET", "/healthz", "", TIMEOUT).expect("healthz");
     assert_eq!(status, 200);
     assert_eq!(health, "ok\n");

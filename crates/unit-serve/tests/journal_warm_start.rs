@@ -67,7 +67,7 @@ fn replica_b_warm_starts_search_free_off_replica_a_journal() {
         tuner_invocations(),
         invocations_before,
         "a journal-warm model compile must never invoke the tuner:\n{}",
-        b.metrics().render()
+        b.metrics().render_prometheus()
     );
     assert_eq!(b.metrics().tuner_searches(), 0);
 

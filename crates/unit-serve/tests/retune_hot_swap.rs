@@ -70,7 +70,7 @@ fn replica_tails_a_peer_retune_and_hot_swaps_search_free() {
     assert!(
         b.metrics().retune_swaps() >= 1,
         "B must count the peer swap:\n{}",
-        b.metrics().render()
+        b.metrics().render_prometheus()
     );
     let b_hot = b.execute("m", target, op, 11).unwrap();
     assert_eq!(b_hot.tier, TuneTier::Full);

@@ -9,9 +9,9 @@
 //! the batched run: batching is a throughput optimization, never an
 //! observable behavior.
 //!
-//! Workload shapes are deliberately small — the interpreter executes
-//! every request faithfully, so soak cost scales with MACs, not with
-//! request count alone.
+//! Workload shapes are deliberately small — the tape executes every
+//! request faithfully, so soak cost scales with MACs, not with request
+//! count alone.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -254,7 +254,7 @@ fn tiered_scheduler_serves_cold_then_swaps_mid_traffic_without_changing_bits() {
             "re-tune worker stalled: {} swaps, {} pending\n{}",
             engine.metrics().retune_swaps(),
             engine.pending_retunes(),
-            engine.metrics().render()
+            engine.metrics().render_prometheus()
         );
         std::thread::sleep(std::time::Duration::from_millis(10));
     }

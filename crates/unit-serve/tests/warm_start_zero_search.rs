@@ -1,6 +1,6 @@
-//! Warm-start contract (ISSUE 5 acceptance): replaying a saved
-//! [`ArtifactStore`] performs **zero tuner searches** — measured at the
-//! tuner itself through the process-global counters in
+//! Warm-start contract: replaying artifacts persisted through the
+//! [`Journal`] performs **zero tuner searches** — measured at the tuner
+//! itself through the process-global counters in
 //! `unit_core::tuner::stats`, not through any cache-level bookkeeping
 //! the engine could fake.
 //!
@@ -17,12 +17,14 @@ use unit_core::tuner::{tuner_invocations, tuner_searches};
 use unit_graph::models::{mobilenet_v1, transformer_tiny};
 use unit_graph::OpSpec;
 use unit_isa::registry;
+use unit_serve::journal::store_records;
 use unit_serve::{
-    reference_report, ArtifactStore, Scheduler, SchedulerConfig, ServeEngine, ServeRequest,
+    reference_report, Journal, JournalConfig, Scheduler, SchedulerConfig, ServeEngine,
+    ServeRequest, TuneTier,
 };
 
-/// Small request workloads for the serving phase — the interpreter
-/// executes every request faithfully, so the serving-phase ops must stay
+/// Small request workloads for the serving phase — the tape executes
+/// every request faithfully, so the serving-phase ops must stay
 /// small (full mobilenet layers are compile-only in this test, exactly
 /// like production: artifacts persist *models*, requests execute
 /// *kernels*).
@@ -40,10 +42,9 @@ fn warm_start_replays_artifacts_with_zero_tuner_searches() {
     let tuning = TuningConfig::default();
     let models = [transformer_tiny(), mobilenet_v1()];
     let targets: Vec<String> = registry::targets().into_iter().map(|d| d.id).collect();
-    let store_path = std::env::temp_dir().join(format!(
-        "unit-serve-warm-start-{}.store",
-        std::process::id()
-    ));
+    let dir = std::env::temp_dir().join(format!("unit-serve-warm-start-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let journal_path = dir.join("journal");
 
     // --- Cold phase: compile every model on every target; reports must
     // match the plain serial graph compiler bit-for-bit. ---
@@ -87,19 +88,23 @@ fn warm_start_replays_artifacts_with_zero_tuner_searches() {
         }
     }
 
-    // --- Persist and reload through the on-disk format. ---
+    // --- Persist through the journal, then reload from a fresh handle. ---
     let store = cold.export_artifacts();
     assert!(!store.is_empty());
-    store.save(&store_path).expect("save artifacts");
-    let loaded = ArtifactStore::load(&store_path).expect("load artifacts");
-    std::fs::remove_file(&store_path).ok();
-    assert_eq!(loaded.len(), store.len());
+    Journal::open(JournalConfig::at(&journal_path))
+        .expect("open journal")
+        .append(&store_records(&store))
+        .expect("persist artifacts");
+    let journal = Journal::open(JournalConfig::at(&journal_path)).expect("reopen journal");
 
     // --- Warm phase 1: whole-model reports from the restored latency
     // cache — zero tuner *invocations* (the tuner never runs at all). ---
     let warm = ServeEngine::new(tuning);
-    let restored = warm.import_artifacts(loaded);
+    let restored = warm
+        .attach_journal(Arc::new(journal))
+        .expect("journal replays");
     assert_eq!(restored, store.len(), "every entry lands in a served cache");
+    assert_eq!(warm.export_artifacts().len(), store.len());
     let invocations_before = tuner_invocations();
     let mut warm_reports = Vec::new();
     for graph in &models {
@@ -121,12 +126,16 @@ fn warm_start_replays_artifacts_with_zero_tuner_searches() {
         }
     }
     // The warm report path never even consulted the store — it is pure
-    // latency-cache hits, so no artifact misses and no engine searches.
-    assert!(
-        warm.metrics().render().contains("artifact_misses 0"),
-        "warm model compiles must never miss the store:\n{}",
-        warm.metrics().render()
-    );
+    // latency-cache hits, so no artifact misses (every miss is a cold
+    // compile) and no engine searches.
+    for tier in [TuneTier::Cold, TuneTier::Full] {
+        assert_eq!(
+            warm.metrics().cold_start(tier).count(),
+            0,
+            "warm model compiles must never miss the store:\n{}",
+            warm.metrics().render_prometheus()
+        );
+    }
     assert_eq!(warm.metrics().tuner_searches(), 0);
 
     // --- Warm phase 2: *executing* requests replays kernels through the
@@ -166,7 +175,7 @@ fn warm_start_replays_artifacts_with_zero_tuner_searches() {
         tuner_searches(),
         searches_before_serving,
         "warm serving must perform zero tuner searches:\n{}",
-        warm.metrics().render()
+        warm.metrics().render_prometheus()
     );
     assert_eq!(warm.metrics().tuner_searches(), 0);
     // Every serving-phase compile was answered by the store: the first
@@ -175,6 +184,7 @@ fn warm_start_replays_artifacts_with_zero_tuner_searches() {
     assert!(
         (warm.metrics().artifact_hit_rate() - 1.0).abs() < f64::EPSILON,
         "warm serving must be 100% artifact hits:\n{}",
-        warm.metrics().render()
+        warm.metrics().render_prometheus()
     );
+    std::fs::remove_dir_all(&dir).ok();
 }

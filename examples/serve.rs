@@ -445,9 +445,8 @@ fn reference_encoding(target: &str, op: &OpSpec, seed: u64) -> String {
 }
 
 /// The request mix served in phases 4–5: small workloads tagged with
-/// the model whose artifact namespace they live in (the interpreter
-/// executes every request faithfully, so the mix must stay
-/// interpreter-sized).
+/// the model whose artifact namespace they live in (the tape emulates
+/// every instruction faithfully, so the mix stays small).
 fn serving_menu() -> Vec<(&'static str, OpSpec)> {
     vec![
         ("mobilenet-v1", OpSpec::depthwise(8, 8, 3, 1, 1)),

@@ -23,10 +23,10 @@
 //!   Tuner (CPU/GPU schedule search).
 //! * [`graph`] — a graph-level IR with quantization, layout and fusion
 //!   passes, plus the nine CNN models of the evaluation.
-//! * [`serve`] — the inference-serving runtime: a persistent
-//!   compiled-artifact store (warm starts replay tuning decisions with
-//!   zero searches), a batching scheduler sharded per target, and
-//!   serving metrics with stable text rendering.
+//! * [`serve`] — the inference-serving runtime: a compiled-artifact
+//!   store persisted through an append-only journal (warm starts replay
+//!   tuning decisions with zero searches), a batching scheduler sharded
+//!   per target, and serving metrics in Prometheus text exposition.
 //! * [`baselines`] — simulated vendor-library comparators (oneDNN, cuDNN,
 //!   TVM manual schedules, TVM-NEON).
 //!

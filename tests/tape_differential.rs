@@ -1,6 +1,6 @@
 //! Differential validation of the compiled instruction tape against the
-//! statement-tree interpreter (the oracle the serving runtime keeps
-//! behind `ExecMode::Interp`).
+//! statement-tree interpreter (a test oracle; the serving runtime runs
+//! only the tape).
 //!
 //! Two angles of attack:
 //!
